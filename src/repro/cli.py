@@ -16,7 +16,7 @@ Commands mirror the tool chain a user drives interactively:
   ``--checkpoint-dir``, writes a trained-model artefact (``--out``)
 * ``evaluate``  — run one benchmark suite on the shared evaluation
   engine (``--suite``, ``--models``, ``--jobs``, ``--cache-dir``,
-  ``--k``, ``--sim-backend compiled|interp``, ``--artifact`` to score
+  ``--k``, ``--sim-backend codegen|interp``, ``--artifact`` to score
   a trained model)
 * ``tables``    — regenerate the paper's tables/figures (``--only``
   computes just the requested ones; ``--jobs``/``--cache-dir`` reach
@@ -732,6 +732,7 @@ def cmd_cancel(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .sim import BACKENDS
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ChipGPT-FT reproduction tool chain")
@@ -749,13 +750,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--top")
     p.add_argument("--vcd", help="write VCD waveform to this path")
-    p.add_argument("--sim-backend", choices=("compiled", "codegen", "interp"),
-                   default=None,
-                   help="simulator backend (default: compiled, with "
-                        "automatic fallback to the interpreter; "
-                        "'codegen' emits an importable Python module "
-                        "per design and caches its source on disk, so "
-                        "warm pool workers never re-lower)")
+    p.add_argument("--sim-backend", choices=BACKENDS, default=None,
+                   help="simulator backend (default: codegen, which "
+                        "emits an importable Python module per design "
+                        "and caches its source on disk, so warm pool "
+                        "workers never re-lower; it falls back to the "
+                        "interpreter on unsupported designs)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("synth", help="gate-level synthesis report")
@@ -932,10 +932,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(generation suites; default low,middle,high)")
     p.add_argument("--seed", type=int, default=0,
                    help="benchmark-construction seed (repair suite)")
-    p.add_argument("--sim-backend", choices=("compiled", "codegen", "interp"),
-                   default=None,
+    p.add_argument("--sim-backend", choices=BACKENDS, default=None,
                    help="simulator backend for testbench verdicts "
-                        "(default: compiled, with automatic fallback "
+                        "(default: codegen, with automatic fallback "
                         "to the interpreter; reports are byte-identical "
                         "either way)")
     p.add_argument("--out", help="also write the report to this file")
@@ -1044,8 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--k", type=int, default=5)
     k.add_argument("--levels")
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--sim-backend", choices=("compiled", "codegen", "interp"),
-                   default=None)
+    k.add_argument("--sim-backend", choices=BACKENDS, default=None)
 
     k = kinds.add_parser("infer",
                          help="decode completions from a trained "
@@ -1065,8 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = kinds.add_parser("simulate", help="simulation job")
     k.add_argument("file", help="Verilog file (inlined into the spec)")
     k.add_argument("--top")
-    k.add_argument("--sim-backend", choices=("compiled", "codegen", "interp"),
-                   default=None)
+    k.add_argument("--sim-backend", choices=BACKENDS, default=None)
     k.add_argument("--vcd", action="store_true",
                    help="include VCD text in the result blob")
 
@@ -1122,8 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--levels")
-    p.add_argument("--sim-backend", choices=("compiled", "codegen", "interp"),
-                   default=None)
+    p.add_argument("--sim-backend", choices=BACKENDS, default=None)
     p.add_argument("--priority", type=int, default=0)
     p.add_argument("--no-wait", action="store_true",
                    help="submit the DAG and return without polling")

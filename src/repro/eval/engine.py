@@ -116,7 +116,7 @@ class EvalTask:
     payload: Problem | BrokenCase | ScriptTask
     level: str = "middle"                       #: generation only
     n_samples: int = 5
-    #: Simulator backend (``"compiled"``/``"interp"``/None = default).
+    #: Simulator backend (``"codegen"``/``"interp"``; None = codegen).
     #: Deliberately excluded from :meth:`key`: the backends are proven
     #: output-identical (tests/test_sim_differential.py), so cached
     #: cells are shared across ``--sim-backend`` settings.

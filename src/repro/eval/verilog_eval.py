@@ -131,7 +131,7 @@ def evaluate_candidate(code: str, problem: Problem,
                        sim_backend: str | None = None) -> CandidateResult:
     """Syntax-check then simulate one candidate against the testbench.
 
-    ``sim_backend`` selects the simulator backend (compiled by default);
+    ``sim_backend`` selects the simulator backend (codegen by default);
     verdicts are backend-independent — the differential harness proves
     it — but the backend is part of the memoisation key for honesty.
     """

@@ -84,6 +84,13 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _check_backend(backend) -> None:
+    from ..sim import BACKENDS
+    _require(backend is None or backend in BACKENDS,
+             f"unknown sim backend '{backend}'; available: "
+             f"{', '.join(BACKENDS)}")
+
+
 def _as_int(spec: dict, key: str, default: int) -> int:
     value = spec.get(key, default)
     _require(isinstance(value, int) and not isinstance(value, bool),
@@ -249,8 +256,7 @@ def _normalize_evaluate(spec: dict) -> dict:
     else:
         levels = []
     backend = spec.get("sim_backend")
-    _require(backend in (None, "compiled", "codegen", "interp"),
-             f"unknown sim backend '{backend}'")
+    _check_backend(backend)
     samples = spec.get("samples")
     if samples is None:
         samples = default_samples(suite)
@@ -272,8 +278,7 @@ def _normalize_simulate(spec: dict) -> dict:
     # spell it that way, and silently dropping it here sent explicit
     # backend choices to the default.
     backend = spec.get("backend", spec.get("sim_backend"))
-    _require(backend in (None, "compiled", "codegen", "interp"),
-             f"unknown sim backend '{backend}'")
+    _check_backend(backend)
     top = spec.get("top")
     _require(top is None or isinstance(top, str),
              "'top' must be a string module name")

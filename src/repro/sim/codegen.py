@@ -1,13 +1,10 @@
 """Codegen simulation backend: emit an importable Python module per design.
 
-The closure backend (:mod:`repro.sim.compile`) lowers a design into
-nested Python closures — fast, but closures cannot pickle, so every
-pool worker re-lowers every design on every warm run.  This module
-lowers an elaborated :class:`~repro.sim.elaborate.Design` **once** into
-generated Python *source text*: a self-contained module with a flat
-slot store, precomputed sensitivity/edge tables and flat reactive
-process functions, honouring the exact runtime contract of the closure
-backend (:class:`~repro.sim.compile._CAssign` /
+This module lowers an elaborated :class:`~repro.sim.elaborate.Design`
+**once** into generated Python *source text*: a self-contained module
+with a flat slot store, precomputed sensitivity/edge tables and flat
+reactive process functions, built from the runtime pieces of
+:mod:`repro.sim.compile` (:class:`~repro.sim.compile._CAssign` /
 :class:`~repro.sim.compile._CReactive` /
 :class:`~repro.sim.compile._CCoroutine` driven by
 :class:`~repro.sim.compile.CompiledSimulator`).  The source string is
@@ -18,50 +15,38 @@ backend (:class:`~repro.sim.compile._CAssign` /
 * loadable in **any** process via :func:`load_generated` (a plain
   ``exec``) — a warm worker fleet re-lowers nothing, ever.
 
-Semantics are transcribed construct-for-construct from the closure
-lowerer, which itself mirrors the interpreter branch-for-branch; the
-differential fuzzer and the golden transcript+VCD suite pin all three
-backends together.  Anything the shared analysis cannot lower raises
-:class:`~repro.sim.compile.CompileUnsupported` (a persistable verdict —
-the closure backend would fail identically); limits specific to source
-emission (e.g. pathological generated-code size) raise the subclass
-:class:`CodegenUnsupported`, which callers must *not* persist to the
-shared verdict layer because the closure backend still handles those
-designs.
+Semantics mirror the interpreter construct-for-construct; the
+differential fuzzer and the golden transcript+VCD suite pin the two
+backends together.  Anything this backend cannot lower faithfully —
+a construct the shared analysis refuses, or generated code past the
+size caps below — raises :class:`~repro.sim.compile.CompileUnsupported`;
+the verdict is persisted and the interpreter runs the design instead.
 """
 
 from __future__ import annotations
 
 import sys
+from types import CodeType
 
 from . import values as V
-from .compile import (CompileUnsupported, _Lower, _Scope, _WatchSpec,
-                      backend_stats, SIM_COMPILE_VERSION)
+from .compile import (CompiledDesign, CompileUnsupported, _Lower, _Scope,
+                      _WatchSpec, backend_stats)
 from .elaborate import Design
 from .engine import SimulationError
 from .format import parse_template, scope_name
 from ..verilog import ast
 
 #: Bump when the emitter changes shape; invalidates every persisted
-#: generated-source artefact (folded into :func:`codegen_key`).
+#: generated-source artefact (folded into :func:`codegen_key`) and
+#: every persisted unsupported verdict.
 SIM_CODEGEN_VERSION = 1
 
 #: Ceilings on generated code size.  Nested ternaries duplicate their
 #: true branch (once per x-merge arm), so adversarial designs could
-#: otherwise explode the emitted text; past these limits the closure
-#: backend — whose cost stays linear — takes over.
+#: otherwise explode the emitted text; past these limits the design
+#: is unsupported and the interpreter runs it.
 _MAX_EXPR_CHARS = 100_000
 _MAX_MODULE_CHARS = 2_000_000
-
-
-class CodegenUnsupported(CompileUnsupported):
-    """Source emission (only) cannot handle this design.
-
-    The closure backend still can, so this verdict must stay local to
-    the codegen path — persisting it to the shared unsupported-verdict
-    layer would wrongly push ``backend="compiled"`` users to the
-    interpreter.
-    """
 
 
 def codegen_key(digest: str) -> str:
@@ -82,8 +67,8 @@ def codegen_key(digest: str) -> str:
 # --------------------------------------------------------------------------
 
 def _rt_err(message):
-    """Lazy error — generated code calls this exactly where the closure
-    backend's ``_raiser`` closures would fire."""
+    """Lazy error — generated code calls this exactly where the
+    interpreter would raise: when the construct is evaluated."""
     raise SimulationError(message)
 
 
@@ -164,14 +149,17 @@ def _rt_wsel(rt, slot, hi, lo, base_bit, descending, value):
         max(off_hi, off_lo), min(off_hi, off_lo), value))
 
 
-def load_generated(source_text: str):
+def load_generated(module: str | CodeType) -> CompiledDesign:
     """Exec one generated module and return its ``CompiledDesign``.
 
-    The module is self-contained (it imports only :mod:`repro.sim`
-    runtime pieces), so this works in any process — the whole point:
-    a warm worker loads the artefact from disk instead of re-lowering.
+    ``module`` is persisted source text or the code object
+    :func:`generate_module` returned.  The module is self-contained (it
+    imports only :mod:`repro.sim` runtime pieces), so this works in any
+    process — the whole point: a warm worker loads the artefact from
+    disk instead of re-lowering.
     """
-    code = compile(source_text, "<repro.sim.codegen>", "exec")
+    code = compile(module, "<repro.sim.codegen>", "exec") \
+        if isinstance(module, str) else module
     namespace: dict = {"__name__": "repro.sim._generated"}
     exec(code, namespace)
     return namespace["build"]()
@@ -197,10 +185,9 @@ _DISPLAY = ("$display", "$write", "$strobe", "$monitor", "$error",
 class _Emit:
     """One emission pass over a Design; produces module source text.
 
-    Reuses :class:`~repro.sim.compile._Lower` for every *analysis*
-    question (slots, costs, dependency/sensitivity sets, signedness,
-    lvalue widths) so the two backends cannot drift on those answers;
-    only the code generation itself lives here.
+    Asks :class:`~repro.sim.compile._Lower` every *analysis* question
+    (slots, costs, dependency/sensitivity sets, signedness, lvalue
+    widths); only the code generation itself lives here.
     """
 
     def __init__(self, design: Design):
@@ -284,8 +271,7 @@ class _Emit:
 
     def _resized(self, vcode: str, width: int) -> str:
         """``(<vcode>).resized(width)``, folded when vcode is a pooled
-        constant — the closure backend calls ``resized`` at runtime, but
-        on a constant the result is itself constant."""
+        constant — on a constant the result is itself constant."""
         value = self._const_of(vcode)
         if value is not None:
             return self._kref(value.resized(width))
@@ -299,15 +285,14 @@ class _Emit:
     def _expr(self, expr: ast.Expr, scope: _Scope) -> tuple[str, bool]:
         """Emit one expression; returns (code, is_const).
 
-        Mirrors ``_Lower._expr``: constant subtrees are folded at
-        emission time by evaluating the generated code itself — a
-        SimulationError during folding means the code raises lazily at
-        runtime (division-by-x style), exactly like the closure
-        backend.
+        Constant subtrees are folded at emission time by evaluating the
+        generated code itself — a SimulationError during folding means
+        the code raises lazily at runtime (division-by-x style), exactly
+        where the interpreter raises.
         """
         code, const = self._expr_raw(expr, scope)
         if len(code) > _MAX_EXPR_CHARS:
-            raise CodegenUnsupported("generated expression too large")
+            raise CompileUnsupported("generated expression too large")
         if const:
             value = self._const_of(code)
             if value is not None:
@@ -425,8 +410,8 @@ class _Emit:
 
     def _index(self, expr: ast.Index, scope: _Scope) -> tuple[str, bool]:
         index, iconst = self._expr(expr.index, scope)
-        # Like the closure backend (and the interpreter), the base
-        # resolves against module signals even where a fn local shadows.
+        # Like the interpreter, the base resolves against module
+        # signals even where a fn local shadows.
         if isinstance(expr.base, ast.Identifier):
             resolved = scope.resolve(expr.base.name)
             if resolved is not None:
@@ -519,7 +504,7 @@ class _Emit:
             return (f"_ipsel({msb}, {lsb}, S[{slot}], {base_bit}, "
                     f"{descending!r}, {plus!r})"), False
         base, bconst = self._expr(expr.base, scope)
-        # The closure backend never evaluates the base when the start
+        # The interpreter never evaluates the base when the start
         # index is unknown; the tuple forces start-then-width order.
         ts, tw = self._tmp(), self._tmp()
         code = (f"(V.Value.unknown({tw}) if (({ts} := ({msb})), "
@@ -539,12 +524,12 @@ class _Emit:
         n_args = len(arg_widths)
         args = [self._expr(a, scope)[0] for a in expr.args[:n_args]]
         # Missing arguments bind unknown of the declared width, exactly
-        # like the closure backend's frame fill.
+        # like the interpreter's locals fill.
         for pos in range(len(args), n_args):
             args.append(self._kunknown(arg_widths[pos]))
-        # Extra arguments are never evaluated at runtime (the closure
-        # backend compiles but never calls them) — emit-and-discard so
-        # unsupported constructs inside them still veto the compile.
+        # Extra arguments are never evaluated at runtime (neither does
+        # the interpreter) — emit-and-discard so unsupported constructs
+        # inside them still veto the compile.
         for extra in expr.args[n_args:]:
             self._expr(extra, scope)
         call = ", ".join(["rt"] + args)
@@ -556,8 +541,8 @@ class _Emit:
         cached = self.fn_plans.get(key)
         if cached is not None:
             return cached
-        # The analysis half (widths, frame layout) is the closure
-        # lowerer's verbatim plan; raises CompileUnsupported alike.
+        # Widths and frame layout follow the interpreter's
+        # ``_call_function``.
         from .elaborate import const_eval
         params = scope.params()
         ret_width = 1
@@ -602,9 +587,9 @@ class _Emit:
         body: list[str] = []
         if fn.body is not None:
             self._stmt(fn.body, fn_scope, body, "    ", coro=False)
-        # Wrapper: builds the frame exactly like the closure backend
-        # (return slot first, args resized, missing args and declared
-        # locals unknown), runs the body, returns the return slot.
+        # Wrapper: builds the frame (return slot first, args resized,
+        # missing args and declared locals unknown), runs the body,
+        # returns the return slot.
         params_sig = ", ".join(
             ["rt"] + [f"a{i}" for i in range(len(arg_widths))])
         lines = [f"def {fc_name}({params_sig}):"]
@@ -863,8 +848,7 @@ class _Emit:
         """Emit one statement.  ``coro=True`` inside process bodies
         (suspension yields scheduler requests inline); ``coro=False``
         inside function bodies, where suspension is the interpreter's
-        runtime error — both exactly as the closure backend routes
-        them."""
+        runtime error."""
         if stmt is None or isinstance(stmt, (ast.NullStmt, ast.Decl,
                                              ast.DisableStmt)):
             return
@@ -987,7 +971,7 @@ class _Emit:
                 return
             # Simple single-write targets inline the value expression;
             # complex targets evaluate the rhs into a temp *before* the
-            # writer's own index expressions — closure evaluation order.
+            # writer's own index expressions — the interpreter's order.
             lines: list[str] = []
             self._write_lines(stmt.lhs, scope, "\x00", lines, ind)
             if len(lines) == 1 and lines[0].count("\x00") == 1 \
@@ -1054,8 +1038,8 @@ class _Emit:
             out.append(f"{ind}{self._tmp()} = {cond}")
             return
         if not then:
-            # x condition runs the else branch, like the closure's
-            # ``if .is_true: ... elif has_else: else``.
+            # An x condition runs the else branch, as in the
+            # interpreter.
             out.append(f"{ind}if not ({cond}).is_true:")
             out.extend(other)
             return
@@ -1191,8 +1175,7 @@ class _Emit:
 
     def emit_proc(self, proc) -> None:
         """Lower one elaborated process into module-level defs plus a
-        construction expression — the codegen twin of the closure
-        lowerer's ``lower_proc``."""
+        construction expression."""
         self.stats["procs"] += 1
         low = self.low
         if proc.kind == "assign":
@@ -1293,8 +1276,8 @@ class _Emit:
             f"_CCoroutine(genfunc={name}, label={proc.label!r})")
 
     def _coroutine_proc(self, proc, body_ast, scope: _Scope) -> None:
-        """Emit an ``initial`` process: run-once generator with the
-        closure backend's _Finish wrapping."""
+        """Emit an ``initial`` process: run-once generator that ends
+        quietly on ``_Finish``."""
         body: list[str] = []
         if body_ast is not None:
             self._stmt(body_ast, scope, body, "        ", coro=True)
@@ -1411,27 +1394,30 @@ class _Emit:
         ]
         text = "\n".join(parts) + "\n"
         if len(text) > _MAX_MODULE_CHARS:
-            raise CodegenUnsupported("generated module too large")
+            raise CompileUnsupported("generated module too large")
         return text
 
 
-def generate_module(design: Design, digest: str) -> str:
+def generate_module(design: Design, digest: str) -> tuple[str, CodeType]:
     """Lower ``design`` once into importable Python module source.
 
-    Raises :class:`CompileUnsupported` for constructs the closure
-    backend also refuses (shared verdict), :class:`CodegenUnsupported`
-    for codegen-only limits (size guards), and counts one compile in
-    :func:`backend_stats` on success — loading the persisted source
-    later does *not* count as a compile.
+    Returns the source text (what the cache persists) and its code
+    object: compiling the text is the syntax check that must pass
+    before the source is persisted, and :func:`load_generated` execs
+    that same code object instead of compiling the text again.
+    Raises :class:`CompileUnsupported` when the design cannot be
+    lowered, and counts one compile in :func:`backend_stats` on
+    success — loading the persisted source later does *not* count as
+    a compile.
     """
     emit = _Emit(design)
     for proc in design.procs:
         emit.emit_proc(proc)
     text = emit.render(digest)
     try:
-        compile(text, f"<codegen {digest[:12]}>", "exec")
+        code = compile(text, f"<codegen {digest[:12]}>", "exec")
     except SyntaxError as exc:   # pragma: no cover - emitter bug guard
-        raise CodegenUnsupported(
+        raise CompileUnsupported(
             f"generated module failed to compile: {exc}") from None
     backend_stats().compiles += 1
-    return text
+    return text, code

@@ -1,39 +1,31 @@
-"""Compiling simulation backend: lower a Design once, run it many times.
+"""Compiled simulation: shared analysis, runtime and caches.
 
 The interpreter (:mod:`repro.sim.engine`) re-resolves names and re-walks
-expression trees on every delta cycle.  This module lowers an elaborated
-:class:`~repro.sim.elaborate.Design` **once** into plain Python closures:
+expression trees on every delta cycle.  The compiled backend instead
+lowers an elaborated :class:`~repro.sim.elaborate.Design` **once**:
+:mod:`repro.sim.codegen` emits an importable Python module per design,
+and this module holds everything around that emitter:
 
-* **expressions** become nested closures over a flat signal store
-  (``rt.store[slot]``) — no per-cycle name resolution, no isinstance
-  dispatch, literals pre-parsed into :class:`~repro.sim.values.Value`
-  constants and constant subtrees folded at lowering time;
-* **processes** are lowered with statically precomputed sensitivity and
-  edge sets.  The common RTL shape — ``always @(edges) <delay-free
-  body>`` — becomes a *reactive* process: a single compiled function
+* the **static analysis** the emitter asks about a design (:class:`_Lower`:
+  flat signal slots, signedness, lvalue widths, statically precomputed
+  sensitivity and dependency sets, and the step-budget cost model);
+* the **runtime** that drives an emitted module
+  (:class:`CompiledSimulator`): scheduler state kept in per-slot arrays
+  (``list`` indexed by signal slot) instead of the interpreter's
+  name-keyed dicts of ``_Waiter`` objects, and the common RTL shape —
+  ``always @(edges) <delay-free body>`` — run as a *reactive* process
   re-armed on static ``(slot, edge)`` watch entries, with no generator
-  machinery at all.  Testbench-style processes (delays, waits,
-  mid-body event controls) compile to coroutines that yield the same
-  scheduler requests the interpreter uses;
-* **scheduler state** is kept in per-slot arrays (``list`` indexed by
-  signal slot) instead of the interpreter's name-keyed dicts of
-  ``_Waiter`` objects that re-evaluate sensitivity expressions.
+  machinery at all;
+* the content-keyed **caches** (:class:`CompiledDesignCache`) and the
+  per-thread :class:`BackendStats` counters.
 
-Semantics are mirrored branch-for-branch from the interpreter — the
-differential fuzz harness (``tests/test_sim_differential.py``) and the
-golden-trace suite assert that final signal states, ``$display``
-transcripts and VCD dumps are identical.  Anything the lowerer cannot
-prove it handles raises :class:`CompileUnsupported`, and the caller
+Semantics mirror the interpreter branch-for-branch — the differential
+fuzz harness (``tests/test_sim_differential.py``) and the golden-trace
+suite assert that final signal states, ``$display`` transcripts and VCD
+dumps are identical.  Anything the analysis or the emitter cannot
+handle faithfully raises :class:`CompileUnsupported`, and the caller
 (:func:`repro.sim.run_simulation`) falls back to the interpreter; the
-fallback is counted in :func:`backend_stats`.
-
-Compiled designs are cached in a content-keyed
-:class:`CompiledDesignCache` (key = source digest +
-:data:`SIM_COMPILE_VERSION`).  Closures cannot be persisted, so the
-cache is two-layered: an in-memory LRU holds the compiled artefacts,
-while an optional :class:`~repro.scale.cache.ManifestCache`-backed layer
-persists *unsupported* verdicts (+ fallback reason) so warm worker
-processes skip doomed compile attempts without re-parsing.
+fallback is counted in :func:`backend_stats` and its verdict persisted.
 """
 
 from __future__ import annotations
@@ -51,9 +43,8 @@ from ..scale.cache import LRUCache, ManifestCache
 from ..verilog import ast
 from ..verilog.errors import VerilogError
 from . import values as V
-from .elaborate import Design, ElaborationError, Proc, Signal, const_eval
+from .elaborate import Design, ElaborationError, Signal, const_eval
 from .engine import SimulationError, SimulationTimeout, Simulator, _Finish
-from .format import parse_template, render_spec, scope_name
 
 #: Bump when lowering rules or runtime semantics change; invalidates
 #: every cached compile verdict and in-memory artefact.
@@ -63,10 +54,13 @@ _case_match = Simulator._case_match
 
 
 class CompileUnsupported(Exception):
-    """The lowerer met a construct it cannot compile faithfully.
+    """The compiled backend cannot lower this design faithfully.
 
-    Raised at lowering time only — the simulation then falls back to the
-    interpreter, which either supports the construct or reports the same
+    Raised at lowering time only — by the shared analysis on a construct
+    it cannot handle, or by the emitter past its generated-code size
+    caps.  Either verdict depends only on the design source, so it is
+    persisted like any other; the simulation then falls back to the
+    interpreter, which either supports the design or reports the same
     :class:`SimulationError` the interpreter always did.
     """
 
@@ -94,11 +88,11 @@ class BackendStats:
                  "compiles", "cache_hits", "codegen_hits",
                  "codegen_misses")
 
-    compiled_runs: int = 0        #: simulations served by the compiled backend
+    compiled_runs: int = 0        #: simulations served by the codegen backend
     interp_runs: int = 0          #: simulations explicitly run interpreted
-    fallbacks: int = 0            #: compiled requests that fell back
-    compiles: int = 0             #: actual lowering passes executed
-    cache_hits: int = 0           #: compiled-design cache hits (in-memory)
+    fallbacks: int = 0            #: codegen requests that fell back
+    compiles: int = 0             #: module-emission passes executed
+    cache_hits: int = 0           #: loaded-artefact cache hits (in-memory)
     codegen_hits: int = 0         #: generated-source disk-cache hits
     codegen_misses: int = 0       #: generated-source disk-cache misses
     fallback_reasons: dict[str, int] = field(default_factory=dict)
@@ -170,7 +164,7 @@ def reset_backend_stats() -> None:
 
 
 # --------------------------------------------------------------------------
-# Lowering: scopes and name resolution (compile-time only)
+# Static analysis: scopes, name resolution, costs (compile-time only)
 # --------------------------------------------------------------------------
 
 class _Scope:
@@ -201,22 +195,13 @@ class _Scope:
                       locals_map, local_widths)
 
 
-def _raiser(exc_type, message):
-    """A closure that raises lazily — mirrors the interpreter, which
-    only errors when the offending construct is actually evaluated."""
-    def run(rt, fr, *_ignored):
-        raise exc_type(message)
-    return run
-
-
-def _const_closure(value: V.Value):
-    def run(rt, fr, _v=value):
-        return _v
-    return run
-
-
 class _Lower:
-    """One lowering pass over a Design; produces a CompiledDesign."""
+    """Static analysis of one Design, answered for the emitter.
+
+    Slots, signedness, lvalue widths, step-budget costs and the
+    sensitivity/dependency sets live here so the questions the emitted
+    code depends on have exactly one answer.
+    """
 
     def __init__(self, design: Design):
         self.design = design
@@ -225,289 +210,7 @@ class _Lower:
                                       enumerate(self.names)}
         self.signals: list[Signal] = [design.signals[n]
                                       for n in self.names]
-        self._functions: dict[tuple[str, str], list] = {}
         self._fn_costs: dict[tuple[str, str], int] = {}
-        self.stats = {"signals": len(self.names), "procs": 0,
-                      "reactive": 0, "coroutines": 0, "assigns": 0,
-                      "functions": 0}
-
-    # -- expressions -----------------------------------------------------
-
-    def compile_expr(self, expr: ast.Expr, scope: _Scope):
-        closure, _const = self._expr(expr, scope)
-        return closure
-
-    def _expr(self, expr: ast.Expr, scope: _Scope):
-        """Returns (closure, is_const); const subtrees are folded."""
-        closure, is_const = self._expr_raw(expr, scope)
-        if is_const:
-            try:
-                value = closure(None, None)
-            except SimulationError:
-                return closure, False    # raises lazily, mirror runtime
-            return _const_closure(value), True
-        return closure, False
-
-    def _expr_raw(self, expr: ast.Expr, scope: _Scope):
-        if isinstance(expr, ast.Number):
-            return _const_closure(V.from_literal(expr.text)), True
-        if isinstance(expr, ast.Identifier):
-            return self._identifier(expr.name, scope)
-        if isinstance(expr, ast.HierarchicalId):
-            name = ".".join(expr.parts)
-            signal = self.design.signals.get(scope.prefix + name) or \
-                self.design.signals.get(name)
-            if signal is None:
-                return _raiser(SimulationError,
-                               f"unknown hierarchical name '{name}'"), False
-            slot = self.slots[signal.name]
-
-            def run(rt, fr, _s=slot):
-                return rt.store[_s]
-            return run, False
-        if isinstance(expr, ast.StringLiteral):
-            data = expr.value.encode()
-            width = max(8 * len(data), 8)
-            return _const_closure(
-                V.Value.of(int.from_bytes(data, "big") if data else 0,
-                           width)), True
-        if isinstance(expr, ast.Unary):
-            return self._unary(expr, scope)
-        if isinstance(expr, ast.Binary):
-            return self._binary(expr, scope)
-        if isinstance(expr, ast.Ternary):
-            return self._ternary(expr, scope)
-        if isinstance(expr, ast.Concat):
-            parts = [self._expr(p, scope) for p in expr.parts]
-            closures = [c for c, _ in parts]
-
-            def run(rt, fr, _p=closures):
-                return V.concat([c(rt, fr) for c in _p])
-            return run, all(c for _, c in parts)
-        if isinstance(expr, ast.Repl):
-            count, count_const = self._expr(expr.count, scope)
-            parts = [self._expr(p, scope) for p in expr.parts]
-            closures = [c for c, _ in parts]
-
-            def run(rt, fr, _n=count, _p=closures):
-                n = _n(rt, fr)
-                if n.has_unknown:
-                    raise SimulationError("replication count is x")
-                return V.replicate(n.to_int(),
-                                   V.concat([c(rt, fr) for c in _p]))
-            return run, count_const and all(c for _, c in parts)
-        if isinstance(expr, ast.Index):
-            return self._index(expr, scope)
-        if isinstance(expr, ast.PartSelect):
-            return self._part_select(expr, scope)
-        if isinstance(expr, ast.FunctionCall):
-            return self._call(expr, scope)
-        return _raiser(SimulationError,
-                       f"cannot evaluate expression "
-                       f"{type(expr).__name__}"), False
-
-    def _identifier(self, name: str, scope: _Scope):
-        if scope.locals is not None and name in scope.locals:
-            idx = scope.locals[name]
-
-            def run(rt, fr, _i=idx):
-                return fr[_i]
-            return run, False
-        resolved = scope.resolve(name)
-        if resolved is not None:
-            slot, signal = resolved
-            if signal.is_array:
-                return _raiser(SimulationError,
-                               f"memory '{name}' used without "
-                               f"an index"), False
-
-            def run(rt, fr, _s=slot):
-                return rt.store[_s]
-            return run, False
-        params = scope.params()
-        if name in params:
-            return _const_closure(params[name]), True
-        return _raiser(SimulationError,
-                       f"identifier '{name}' is not declared"), False
-
-    def _unary(self, expr: ast.Unary, scope: _Scope):
-        operand, const = self._expr(expr.operand, scope)
-        op = expr.op
-        if op == "+":
-            return operand, const
-        if op == "-":
-            def run(rt, fr, _o=operand):
-                value = _o(rt, fr)
-                return V.sub(V.Value.of(0, value.width), value)
-            return run, const
-        if op == "~":
-            def run(rt, fr, _o=operand):
-                return V.bit_not(_o(rt, fr))
-            return run, const
-        if op == "!":
-            def run(rt, fr, _o=operand):
-                return V.logic_not(_o(rt, fr))
-            return run, const
-
-        def run(rt, fr, _o=operand, _op=op):
-            return V.reduce_op(_op, _o(rt, fr))
-        return run, const
-
-    def _binary(self, expr: ast.Binary, scope: _Scope):
-        op = expr.op
-        left, lconst = self._expr(expr.left, scope)
-        right, rconst = self._expr(expr.right, scope)
-        const = lconst and rconst
-        handler = Simulator._BINOPS.get(op)
-        if handler is not None:
-            def run(rt, fr, _l=left, _r=right, _h=handler):
-                return _h(_l(rt, fr), _r(rt, fr))
-            return run, const
-        if op in ("<<", "<<<"):
-            def run(rt, fr, _l=left, _r=right):
-                return V.shift_left(_l(rt, fr), _r(rt, fr))
-            return run, const
-        if op == ">>":
-            def run(rt, fr, _l=left, _r=right):
-                return V.shift_right(_l(rt, fr), _r(rt, fr))
-            return run, const
-        if op == ">>>":
-            signed = self._is_signed(expr.left, scope)
-
-            def run(rt, fr, _l=left, _r=right, _s=signed):
-                return V.shift_right(_l(rt, fr), _r(rt, fr),
-                                     arithmetic=True, signed=_s)
-            return run, const
-        if op in ("==", "!=", "===", "!==", "<", "<=", ">", ">="):
-            signed = (self._is_signed(expr.left, scope)
-                      and self._is_signed(expr.right, scope))
-
-            def run(rt, fr, _l=left, _r=right, _op=op, _s=signed):
-                return V.compare(_op, _l(rt, fr), _r(rt, fr), signed=_s)
-            return run, const
-        return _raiser(SimulationError,
-                       f"unsupported binary operator '{op}'"), False
-
-    def _ternary(self, expr: ast.Ternary, scope: _Scope):
-        cond, cconst = self._expr(expr.cond, scope)
-        if_true, tconst = self._expr(expr.if_true, scope)
-        if_false, fconst = self._expr(expr.if_false, scope)
-
-        def run(rt, fr, _c=cond, _t=if_true, _f=if_false):
-            c = _c(rt, fr)
-            if c.is_true:
-                return _t(rt, fr)
-            if c.has_unknown:
-                a = _t(rt, fr)
-                b = _f(rt, fr)
-                width = max(a.width, b.width)
-                a, b = a.resized(width), b.resized(width)
-                same = ~(a.val ^ b.val) & ~(a.xz | b.xz)
-                return V.Value(width=width, val=a.val & same,
-                               xz=((1 << width) - 1) & ~same)
-            return _f(rt, fr)
-        return run, cconst and tconst and fconst
-
-    def _index(self, expr: ast.Index, scope: _Scope):
-        index, iconst = self._expr(expr.index, scope)
-        # Like the interpreter, the base resolves against module signals
-        # even where a function local shadows the name.
-        if isinstance(expr.base, ast.Identifier):
-            resolved = scope.resolve(expr.base.name)
-            if resolved is not None:
-                slot, signal = resolved
-                if signal.is_array:
-                    width = signal.width
-
-                    def run(rt, fr, _s=slot, _i=index, _w=width):
-                        i = _i(rt, fr)
-                        if i.has_unknown:
-                            return V.Value.unknown(_w)
-                        return rt.arrays[_s].get(i.to_int(),
-                                                 V.Value.unknown(_w))
-                    return run, False
-                descending = signal.msb >= signal.lsb
-                base_bit = signal.lsb
-
-                def run(rt, fr, _s=slot, _i=index, _d=descending,
-                        _b=base_bit):
-                    i = _i(rt, fr)
-                    if i.has_unknown:
-                        return V.Value.unknown(1)
-                    offset = (i.to_int() - _b) if _d else (_b - i.to_int())
-                    return rt.store[_s].select_bit(offset)
-                return run, False
-        base, bconst = self._expr(expr.base, scope)
-
-        def run(rt, fr, _b=base, _i=index):
-            return _b(rt, fr).select_bit(_i(rt, fr))
-        return run, bconst and iconst
-
-    def _part_select(self, expr: ast.PartSelect, scope: _Scope):
-        base_info = None           # (slot, signal) for plain signals
-        if isinstance(expr.base, ast.Identifier):
-            resolved = scope.resolve(expr.base.name)
-            if resolved is not None and not resolved[1].is_array:
-                base_info = resolved
-        msb, mconst = self._expr(expr.msb, scope)
-        lsb, lconst = self._expr(expr.lsb, scope)
-        if expr.mode == ":":
-            if base_info is not None:
-                slot, signal = base_info
-                descending = signal.msb >= signal.lsb
-                base_bit = signal.lsb
-
-                def run(rt, fr, _s=slot, _m=msb, _l=lsb, _d=descending,
-                        _b=base_bit):
-                    hi = _m(rt, fr).to_int()
-                    lo = _l(rt, fr).to_int()
-                    off_hi = (hi - _b) if _d else (_b - hi)
-                    off_lo = (lo - _b) if _d else (_b - lo)
-                    return rt.store[_s].select_range(off_hi, off_lo)
-                return run, False
-            base, bconst = self._expr(expr.base, scope)
-
-            def run(rt, fr, _base=base, _m=msb, _l=lsb):
-                hi = _m(rt, fr).to_int()
-                lo = _l(rt, fr).to_int()
-                return _base(rt, fr).select_range(hi, lo)
-            return run, bconst and mconst and lconst
-        # Indexed part select: base[i +: w] / base[i -: w]
-        plus = expr.mode == "+:"
-        if base_info is not None:
-            slot, signal = base_info
-            descending = signal.msb >= signal.lsb
-            base_bit = signal.lsb
-
-            def run(rt, fr, _s=slot, _m=msb, _l=lsb, _p=plus,
-                    _d=descending, _b=base_bit):
-                start = _m(rt, fr)
-                width = _l(rt, fr).to_int()
-                if start.has_unknown:
-                    return V.Value.unknown(width)
-                start_idx = start.to_int()
-                if _p:
-                    lo, hi = start_idx, start_idx + width - 1
-                else:
-                    lo, hi = start_idx - width + 1, start_idx
-                off_hi = (hi - _b) if _d else (_b - hi)
-                off_lo = (lo - _b) if _d else (_b - lo)
-                return rt.store[_s].select_range(off_hi, off_lo)
-            return run, False
-        base, bconst = self._expr(expr.base, scope)
-
-        def run(rt, fr, _base=base, _m=msb, _l=lsb, _p=plus):
-            start = _m(rt, fr)
-            width = _l(rt, fr).to_int()
-            if start.has_unknown:
-                return V.Value.unknown(width)
-            start_idx = start.to_int()
-            if _p:
-                lo, hi = start_idx, start_idx + width - 1
-            else:
-                lo, hi = start_idx - width + 1, start_idx
-            return _base(rt, fr).select_range(hi, lo)
-        return run, bconst and mconst and lconst
 
     # -- signedness (static twin of Simulator._is_signed) ----------------
 
@@ -529,241 +232,6 @@ class _Lower:
         if isinstance(expr, ast.FunctionCall) and expr.name == "$signed":
             return True
         return False
-
-    # -- function calls --------------------------------------------------
-
-    def _call(self, expr: ast.FunctionCall, scope: _Scope):
-        if expr.is_system:
-            return self._system_call(expr, scope)
-        fn = self.design.functions.get(scope.prefix, {}).get(expr.name)
-        if fn is None:
-            return _raiser(SimulationError,
-                           f"unknown function '{expr.name}'"), False
-        plan = self._function_plan(fn, scope)
-        ret_width, arg_widths, decl_inits, body_cell, frame_size = plan
-        arg_closures = [self.compile_expr(a, scope) for a in expr.args]
-
-        def run(rt, fr, _rw=ret_width, _aw=arg_widths, _di=decl_inits,
-                _body=body_cell, _n=frame_size, _args=arg_closures):
-            frame = [None] * _n
-            frame[0] = V.Value.unknown(_rw)
-            for pos, width in enumerate(_aw):
-                if pos < len(_args):
-                    frame[pos + 1] = _args[pos](rt, fr).resized(width)
-                else:
-                    frame[pos + 1] = V.Value.unknown(width)
-            for idx, width in _di:
-                frame[idx] = V.Value.unknown(width)
-            _body[0](rt, frame)
-            return frame[0]
-        return run, False
-
-    def _function_plan(self, fn: ast.FunctionDecl, scope: _Scope):
-        key = (scope.prefix, fn.name)
-        cached = self._functions.get(key)
-        if cached is not None:
-            return cached
-        params = scope.params()
-        ret_width = 1
-        if fn.range is not None:
-            msb = const_eval(fn.range.msb, params).to_int()
-            lsb = const_eval(fn.range.lsb, params).to_int()
-            ret_width = abs(msb - lsb) + 1
-        locals_map: dict[str, int] = {fn.name: 0}
-        local_widths: dict[str, int] = {fn.name: ret_width}
-        arg_widths: list[int] = []
-        decl_inits: list[tuple[int, int]] = []
-        for item in fn.items:
-            if isinstance(item, ast.PortDecl) and item.direction == "input":
-                for name in item.names:
-                    width = 1
-                    if item.range is not None:
-                        msb = const_eval(item.range.msb, params).to_int()
-                        lsb = const_eval(item.range.lsb, params).to_int()
-                        width = abs(msb - lsb) + 1
-                    locals_map[name] = len(locals_map)
-                    local_widths[name] = width
-                    arg_widths.append(width)
-            elif isinstance(item, ast.Decl):
-                for decl in item.declarators:
-                    width = 32 if item.kind == "integer" else 1
-                    if item.range is not None:
-                        msb = const_eval(item.range.msb, params).to_int()
-                        lsb = const_eval(item.range.lsb, params).to_int()
-                        width = abs(msb - lsb) + 1
-                    locals_map[decl.name] = len(locals_map)
-                    local_widths[decl.name] = width
-                    decl_inits.append((locals_map[decl.name], width))
-        body_cell: list = [None]
-        plan = (ret_width, arg_widths, decl_inits, body_cell,
-                len(locals_map))
-        # Register before compiling the body so recursive calls resolve.
-        self._functions[key] = plan
-        fn_scope = scope.fn_scope(locals_map, local_widths)
-        if fn.body is not None and _needs_coroutine(fn.body):
-            raise CompileUnsupported(
-                "delay or event control inside a function")
-        body = self.compile_sync(fn.body, fn_scope) if fn.body is not None \
-            else None
-        body_cell[0] = body if body is not None else (lambda rt, fr: None)
-        self.stats["functions"] += 1
-        return plan
-
-    def _system_call(self, expr: ast.FunctionCall, scope: _Scope):
-        name = expr.name
-        if name == "$time":
-            def run(rt, fr):
-                return V.Value.of(rt.time, 64)
-            return run, False
-        if name == "$random":
-            def run(rt, fr):
-                rt._rand_state = (rt._rand_state * 1103515245 + 12345) \
-                    & 0xFFFFFFFF
-                return V.Value.of(rt._rand_state, 32)
-            return run, False
-        if name in ("$signed", "$unsigned"):
-            return self._expr(expr.args[0], scope)
-        if name == "$clog2":
-            arg, const = self._expr(expr.args[0], scope)
-
-            def run(rt, fr, _a=arg):
-                value = _a(rt, fr)
-                if value.has_unknown:
-                    return V.Value.unknown(32)
-                return V.Value.of(max(value.to_int() - 1, 0).bit_length(),
-                                  32)
-            return run, const
-        return _raiser(SimulationError,
-                       f"unsupported system function '{name}'"), False
-
-    # -- lvalues ---------------------------------------------------------
-
-    def compile_writer(self, lhs: ast.Expr, scope: _Scope):
-        """Compile an assignment target to ``writer(rt, fr, value)``."""
-        if isinstance(lhs, ast.Concat):
-            return self._concat_writer(lhs, scope)
-        if isinstance(lhs, ast.Identifier):
-            if scope.locals is not None and lhs.name in scope.locals:
-                idx = scope.locals[lhs.name]
-                width = scope.local_widths[lhs.name]
-
-                def write(rt, fr, value, _i=idx, _w=width):
-                    fr[_i] = value.resized(_w)
-                return write
-            resolved = scope.resolve(lhs.name)
-            if resolved is None:
-                return _raiser(SimulationError,
-                               f"identifier '{lhs.name}' is not declared")
-            slot, signal = resolved
-            width = signal.width
-
-            def write(rt, fr, value, _s=slot, _w=width):
-                rt.set_slot(_s, value.resized(_w))
-            return write
-        if isinstance(lhs, ast.HierarchicalId):
-            name = ".".join(lhs.parts)
-            signal = self.design.signals.get(scope.prefix + name) or \
-                self.design.signals.get(name)
-            if signal is None:
-                return _raiser(SimulationError,
-                               f"unknown hierarchical name '{name}'")
-            slot = self.slots[signal.name]
-            width = signal.width
-
-            def write(rt, fr, value, _s=slot, _w=width):
-                rt.set_slot(_s, value.resized(_w))
-            return write
-        if isinstance(lhs, ast.Index):
-            return self._index_writer(lhs, scope)
-        if isinstance(lhs, ast.PartSelect):
-            return self._select_writer(lhs, scope)
-        return _raiser(SimulationError,
-                       f"invalid assignment target {type(lhs).__name__}")
-
-    def _index_writer(self, lhs: ast.Index, scope: _Scope):
-        if not isinstance(lhs.base, ast.Identifier):
-            return _raiser(SimulationError,
-                           "unsupported nested lvalue index")
-        resolved = scope.resolve(lhs.base.name)
-        if resolved is None:
-            return _raiser(SimulationError,
-                           f"identifier '{lhs.base.name}' is not declared")
-        slot, signal = resolved
-        index = self.compile_expr(lhs.index, scope)
-        if signal.is_array:
-            width = signal.width
-
-            def write(rt, fr, value, _s=slot, _i=index, _w=width):
-                i = _i(rt, fr)
-                if i.has_unknown:
-                    return        # write to x index is lost
-                rt.set_element(_s, i.to_int(), value.resized(_w))
-            return write
-        descending = signal.msb >= signal.lsb
-        base_bit = signal.lsb
-        width = signal.width
-
-        def write(rt, fr, value, _s=slot, _i=index, _d=descending,
-                  _b=base_bit, _w=width):
-            i = _i(rt, fr)
-            if i.has_unknown:
-                return            # write to x index is lost
-            offset = (i.to_int() - _b) if _d else (_b - i.to_int())
-            if 0 <= offset < _w:
-                rt.set_slot(_s,
-                            rt.store[_s].with_bits(offset, offset, value))
-        return write
-
-    def _select_writer(self, lhs: ast.PartSelect, scope: _Scope):
-        if not isinstance(lhs.base, ast.Identifier):
-            return _raiser(SimulationError,
-                           "unsupported nested lvalue select")
-        resolved = scope.resolve(lhs.base.name)
-        if resolved is None:
-            return _raiser(SimulationError,
-                           f"identifier '{lhs.base.name}' is not declared")
-        slot, signal = resolved
-        descending = signal.msb >= signal.lsb
-        base_bit = signal.lsb
-        msb = self.compile_expr(lhs.msb, scope)
-        lsb = self.compile_expr(lhs.lsb, scope)
-        ranged = lhs.mode == ":"
-        plus = lhs.mode == "+:"
-
-        def write(rt, fr, value, _s=slot, _m=msb, _l=lsb, _r=ranged,
-                  _p=plus, _d=descending, _b=base_bit):
-            if _r:
-                hi = _m(rt, fr).to_int()
-                lo = _l(rt, fr).to_int()
-            else:
-                start = _m(rt, fr).to_int()
-                width = _l(rt, fr).to_int()
-                if _p:
-                    lo, hi = start, start + width - 1
-                else:
-                    hi, lo = start, start - width + 1
-            off_hi = (hi - _b) if _d else (_b - hi)
-            off_lo = (lo - _b) if _d else (_b - lo)
-            rt.set_slot(_s, rt.store[_s].with_bits(
-                max(off_hi, off_lo), min(off_hi, off_lo), value))
-        return write
-
-    def _concat_writer(self, lhs: ast.Concat, scope: _Scope):
-        parts = [(self._lvalue_width(p, scope),
-                  self.compile_writer(p, scope)) for p in lhs.parts]
-        if all(w is not None for w, _ in parts):
-            total = sum(w for w, _ in parts)
-
-            def write(rt, fr, value, _parts=parts, _t=total):
-                value = value.resized(_t)
-                offset = _t
-                for width, writer in _parts:
-                    offset -= width
-                    writer(rt, fr,
-                           value.select_range(offset + width - 1, offset))
-            return write
-        raise CompileUnsupported(
-            "concatenation lvalue with non-static part widths")
 
     def _lvalue_width(self, expr: ast.Expr, scope: _Scope) -> int | None:
         """Static width of an assignment target part, or None."""
@@ -794,450 +262,6 @@ class _Lower:
                 return None
             return sum(widths)
         return None
-
-    # -- statements: sync (no suspension anywhere in the subtree) --------
-
-    def compile_sync(self, stmt: ast.Stmt | None, scope: _Scope):
-        """Compile a delay-free statement to ``fn(rt, fr)`` (or None)."""
-        if stmt is None or isinstance(stmt, (ast.NullStmt, ast.Decl,
-                                             ast.DisableStmt)):
-            return None
-        if isinstance(stmt, ast.Block):
-            closures = tuple(c for c in
-                             (self.compile_sync(child, scope)
-                              for child in stmt.stmts
-                              if not isinstance(child, ast.Decl))
-                             if c is not None)
-            if not closures:
-                return None
-            if len(closures) == 1:
-                return closures[0]
-
-            def run(rt, fr, _c=closures):
-                for closure in _c:
-                    closure(rt, fr)
-            return run
-        if isinstance(stmt, ast.BlockingAssign):
-            rhs = self.compile_expr(stmt.rhs, scope)
-            writer = self.compile_writer(stmt.lhs, scope)
-            if stmt.delay is None:
-                def run(rt, fr, _r=rhs, _w=writer):
-                    _w(rt, fr, _r(rt, fr))
-                return run
-            # Only reachable inside functions (processes route delayed
-            # blocking assigns through the coroutine path): a nonzero
-            # delay is the interpreter's "delay inside a function" error.
-            delay = self.compile_expr(stmt.delay, scope)
-
-            def run(rt, fr, _r=rhs, _w=writer, _d=delay):
-                value = _r(rt, fr)
-                if _d(rt, fr).to_int():
-                    raise SimulationError(
-                        "delay or event control inside a function")
-                _w(rt, fr, value)
-            return run
-        if isinstance(stmt, ast.NonBlockingAssign):
-            rhs = self.compile_expr(stmt.rhs, scope)
-            writer = self.compile_writer(stmt.lhs, scope)
-            if stmt.delay is not None:
-                delay = self.compile_expr(stmt.delay, scope)
-
-                def run(rt, fr, _r=rhs, _w=writer, _d=delay):
-                    value = _r(rt, fr)
-                    rt.schedule_nba(_d(rt, fr).to_int(), _w, value, fr)
-                return run
-
-            def run(rt, fr, _r=rhs, _w=writer):
-                rt._nba.append((_w, _r(rt, fr), fr))
-            return run
-        if isinstance(stmt, ast.IfStmt):
-            cond = self.compile_expr(stmt.cond, scope)
-            then = self.compile_sync(stmt.then_stmt, scope)
-            has_else = stmt.else_stmt is not None
-            other = self.compile_sync(stmt.else_stmt, scope)
-
-            def run(rt, fr, _c=cond, _t=then, _e=other, _h=has_else):
-                if _c(rt, fr).is_true:
-                    if _t is not None:
-                        _t(rt, fr)
-                elif _h and _e is not None:
-                    _e(rt, fr)
-            return run
-        if isinstance(stmt, ast.CaseStmt):
-            selector, plans, default = self._case_plan(
-                stmt, scope, self.compile_sync)
-
-            def run(rt, fr, _s=selector, _p=plans, _d=default,
-                    _k=stmt.kind):
-                sel = _s(rt, fr)
-                for labels, branch in _p:
-                    for label in labels:
-                        if _case_match(_k, sel, label(rt, fr)):
-                            if branch is not None:
-                                branch(rt, fr)
-                            return
-                if _d is not None:
-                    _d(rt, fr)
-            return run
-        if isinstance(stmt, ast.ForStmt):
-            init = self.compile_sync(stmt.init, scope)
-            cond = self.compile_expr(stmt.cond, scope)
-            step = self.compile_sync(stmt.step, scope)
-            body = self.compile_sync(stmt.body, scope)
-            cost = self._loop_cost(stmt, scope)
-
-            def run(rt, fr, _i=init, _c=cond, _s=step, _b=body, _k=cost):
-                if _i is not None:
-                    _i(rt, fr)
-                while _c(rt, fr).is_true:
-                    rt.charge(_k)
-                    if _b is not None:
-                        _b(rt, fr)
-                    if _s is not None:
-                        _s(rt, fr)
-            return run
-        if isinstance(stmt, ast.WhileStmt):
-            cond = self.compile_expr(stmt.cond, scope)
-            body = self.compile_sync(stmt.body, scope)
-            cost = self._loop_cost(stmt, scope)
-
-            def run(rt, fr, _c=cond, _b=body, _k=cost):
-                while _c(rt, fr).is_true:
-                    rt.charge(_k)
-                    if _b is not None:
-                        _b(rt, fr)
-            return run
-        if isinstance(stmt, ast.RepeatStmt):
-            count = self.compile_expr(stmt.count, scope)
-            body = self.compile_sync(stmt.body, scope)
-            cost = self._loop_cost(stmt, scope)
-
-            def run(rt, fr, _n=count, _b=body, _k=cost):
-                for _ in range(max(_n(rt, fr).to_int(), 0)):
-                    rt.charge(_k)
-                    if _b is not None:
-                        _b(rt, fr)
-            return run
-        if isinstance(stmt, ast.ForeverStmt):
-            body = self.compile_sync(stmt.body, scope)
-            cost = self._loop_cost(stmt, scope)
-
-            def run(rt, fr, _b=body, _k=cost):
-                while True:
-                    rt.charge(_k)
-                    if _b is not None:
-                        _b(rt, fr)
-            return run
-        if isinstance(stmt, ast.SysTaskCall):
-            return self._systask(stmt, scope)
-        if isinstance(stmt, ast.TaskCall):
-            return _raiser(SimulationError,
-                           f"user task '{stmt.name}' is not supported")
-        if isinstance(stmt, (ast.DelayStmt, ast.EventControlStmt,
-                             ast.WaitStmt)):
-            # Reachable only inside function bodies (processes take the
-            # coroutine path) — mirrors the interpreter's runtime error.
-            return _raiser(SimulationError,
-                           "delay or event control inside a function")
-        return _raiser(SimulationError,
-                       f"cannot execute statement {type(stmt).__name__}")
-
-    def _case_plan(self, stmt: ast.CaseStmt, scope: _Scope, compile_fn):
-        selector = self.compile_expr(stmt.expr, scope)
-        plans = []
-        default = None
-        for item in stmt.items:
-            branch = compile_fn(item.stmt, scope)
-            if not item.exprs:
-                default = branch       # later defaults win, like the
-                continue               # interpreter's scan
-            labels = tuple(self.compile_expr(e, scope)
-                           for e in item.exprs)
-            plans.append((labels, branch))
-        return selector, tuple(plans), default
-
-    # -- $display and friends --------------------------------------------
-
-    _DISPLAY = ("$display", "$write", "$strobe", "$monitor", "$error",
-                "$warning", "$info")
-
-    def _systask(self, stmt: ast.SysTaskCall, scope: _Scope):
-        name = stmt.name
-        if name in self._DISPLAY:
-            render = self._display_plan(stmt.args, scope)
-            prefix = "ERROR: " if name == "$error" else ""
-
-            def run(rt, fr, _r=render, _p=prefix):
-                rt.display_lines.append(_p + _r(rt, fr))
-            return run
-        if name in ("$finish", "$stop", "$fatal"):
-            def run(rt, fr):
-                rt.finished = True
-                raise _Finish()
-            return run
-        if name == "$dumpfile":
-            filename = "dump.vcd"
-            if stmt.args and isinstance(stmt.args[0], ast.StringLiteral):
-                filename = stmt.args[0].value
-
-            def run(rt, fr, _f=filename):
-                rt.enable_tracing(_f)
-                rt.tracer.enabled = False   # armed by $dumpvars
-            return run
-        if name == "$dumpvars":
-            def run(rt, fr):
-                tracer = rt.enable_tracing(
-                    rt.tracer.filename if rt.tracer else "dump.vcd")
-                tracer.enabled = True
-                rt.snapshot_tracer()
-            return run
-        if name == "$dumpon":
-            def run(rt, fr):
-                if rt.tracer is not None:
-                    rt.tracer.enabled = True
-            return run
-        if name == "$dumpoff":
-            def run(rt, fr):
-                if rt.tracer is not None:
-                    rt.tracer.enabled = False
-            return run
-        if name in ("$timeformat", "$readmemh", "$readmemb"):
-            return None   # accepted and ignored
-        return _raiser(SimulationError,
-                       f"unsupported system task '{name}'")
-
-    def _display_plan(self, args: list[ast.Expr], scope: _Scope):
-        """Compile $display arguments to ``fn(rt, fr) -> str``."""
-        if not args:
-            return lambda rt, fr: ""
-        first = args[0]
-        if not isinstance(first, ast.StringLiteral):
-            pieces = []
-            for arg in args:
-                if isinstance(arg, ast.StringLiteral):
-                    pieces.append(arg.value)
-                else:
-                    closure = self.compile_expr(arg, scope)
-                    pieces.append(closure)
-
-            def run(rt, fr, _p=pieces):
-                return " ".join(
-                    piece if isinstance(piece, str)
-                    else V.format_value(piece(rt, fr), "d")
-                    for piece in _p)
-            return run
-        # Leading format string: precompile the render plan.  Each plan
-        # entry is either literal text or a (spec, closure|None) pair.
-        rest = args[1:]
-        arg_iter = iter(rest)
-        mod_text = scope_name(scope.prefix, self.design.top)
-        plan: list = []
-        for segment in parse_template(first.value):
-            kind = segment[0]
-            if kind == "lit":
-                plan.append(segment[1])
-            elif kind == "pct":
-                plan.append("%")
-            elif kind == "mod":
-                plan.append(mod_text)
-            else:
-                spec = segment[1]
-                try:
-                    arg = next(arg_iter)
-                except StopIteration:
-                    plan.append("%" + spec)
-                    continue
-                if spec == "s" and isinstance(arg, ast.StringLiteral):
-                    plan.append(arg.value)
-                    continue
-                plan.append((spec, self.compile_expr(arg, scope)))
-        plan_t = tuple(plan)
-
-        def run(rt, fr, _p=plan_t):
-            return "".join(
-                piece if isinstance(piece, str)
-                else render_spec(piece[0], piece[1](rt, fr))
-                for piece in _p)
-        return run
-
-    # -- statements: coroutines (suspension somewhere in the subtree) ----
-
-    def compile_coro(self, stmt: ast.Stmt, scope: _Scope):
-        """Compile to a generator function ``g(rt)`` yielding scheduler
-        requests ``("delay", ticks)`` / ``("wait", entries)``."""
-        if isinstance(stmt, ast.Block):
-            steps = []
-            for child in stmt.stmts:
-                if isinstance(child, ast.Decl):
-                    continue
-                if _needs_coroutine(child):
-                    steps.append((True, self.compile_coro(child, scope)))
-                else:
-                    closure = self.compile_sync(child, scope)
-                    if closure is not None:
-                        steps.append((False, closure))
-            steps_t = tuple(steps)
-
-            def gen(rt, _s=steps_t):
-                for is_coro, closure in _s:
-                    if is_coro:
-                        yield from closure(rt)
-                    else:
-                        closure(rt, None)
-            return gen
-        if isinstance(stmt, ast.DelayStmt):
-            delay = self.compile_expr(stmt.delay, scope)
-            inner_coro = stmt.stmt is not None and \
-                _needs_coroutine(stmt.stmt)
-            inner = (self.compile_coro(stmt.stmt, scope) if inner_coro
-                     else self.compile_sync(stmt.stmt, scope))
-
-            def gen(rt, _d=delay, _i=inner, _c=inner_coro):
-                yield ("delay", _d(rt, None).to_int())
-                if _i is not None:
-                    if _c:
-                        yield from _i(rt)
-                    else:
-                        _i(rt, None)
-            return gen
-        if isinstance(stmt, ast.EventControlStmt):
-            entries = self._sens_entries(stmt.senslist, scope)
-            inner_coro = stmt.stmt is not None and \
-                _needs_coroutine(stmt.stmt)
-            inner = (self.compile_coro(stmt.stmt, scope) if inner_coro
-                     else self.compile_sync(stmt.stmt, scope))
-
-            def gen(rt, _e=entries, _i=inner, _c=inner_coro):
-                yield ("wait", _e)
-                if _i is not None:
-                    if _c:
-                        yield from _i(rt)
-                    else:
-                        _i(rt, None)
-            return gen
-        if isinstance(stmt, ast.WaitStmt):
-            cond = self.compile_expr(stmt.cond, scope)
-            entries = tuple((slot, None) for slot in
-                            self._expr_dep_slots(stmt.cond, scope))
-            spec = _WatchSpec(entries, self.names, self.signals)
-            inner_coro = stmt.stmt is not None and \
-                _needs_coroutine(stmt.stmt)
-            inner = (self.compile_coro(stmt.stmt, scope) if inner_coro
-                     else self.compile_sync(stmt.stmt, scope))
-
-            def gen(rt, _cond=cond, _e=spec, _i=inner, _c=inner_coro):
-                while not _cond(rt, None).is_true:
-                    if not _e.slots:
-                        raise SimulationError(
-                            "wait() on constant expression")
-                    yield ("wait", _e)
-                if _i is not None:
-                    if _c:
-                        yield from _i(rt)
-                    else:
-                        _i(rt, None)
-            return gen
-        if isinstance(stmt, ast.BlockingAssign):    # with delay
-            rhs = self.compile_expr(stmt.rhs, scope)
-            writer = self.compile_writer(stmt.lhs, scope)
-            delay = self.compile_expr(stmt.delay, scope)
-
-            def gen(rt, _r=rhs, _w=writer, _d=delay):
-                value = _r(rt, None)
-                ticks = _d(rt, None).to_int()
-                if ticks:
-                    yield ("delay", ticks)
-                _w(rt, None, value)
-            return gen
-        if isinstance(stmt, ast.IfStmt):
-            cond = self.compile_expr(stmt.cond, scope)
-            then = self._branch(stmt.then_stmt, scope)
-            has_else = stmt.else_stmt is not None
-            other = self._branch(stmt.else_stmt, scope)
-
-            def gen(rt, _c=cond, _t=then, _e=other, _h=has_else):
-                if _c(rt, None).is_true:
-                    yield from _run_branch(rt, _t)
-                elif _h:
-                    yield from _run_branch(rt, _e)
-            return gen
-        if isinstance(stmt, ast.CaseStmt):
-            selector, plans, default = self._case_plan(
-                stmt, scope, lambda s, sc: self._branch(s, sc))
-
-            def gen(rt, _s=selector, _p=plans, _d=default, _k=stmt.kind):
-                sel = _s(rt, None)
-                for labels, branch in _p:
-                    for label in labels:
-                        if _case_match(_k, sel, label(rt, None)):
-                            yield from _run_branch(rt, branch)
-                            return
-                if _d is not None:
-                    yield from _run_branch(rt, _d)
-            return gen
-        if isinstance(stmt, ast.ForStmt):
-            init = self.compile_sync(stmt.init, scope)
-            cond = self.compile_expr(stmt.cond, scope)
-            step = self.compile_sync(stmt.step, scope)
-            body = self.compile_coro(stmt.body, scope)
-            cost = self._loop_cost(stmt, scope)
-
-            def gen(rt, _i=init, _c=cond, _s=step, _b=body, _k=cost):
-                if _i is not None:
-                    _i(rt, None)
-                while _c(rt, None).is_true:
-                    rt.charge(_k)
-                    yield from _b(rt)
-                    if _s is not None:
-                        _s(rt, None)
-            return gen
-        if isinstance(stmt, ast.WhileStmt):
-            cond = self.compile_expr(stmt.cond, scope)
-            body = self.compile_coro(stmt.body, scope)
-            cost = self._loop_cost(stmt, scope)
-
-            def gen(rt, _c=cond, _b=body, _k=cost):
-                while _c(rt, None).is_true:
-                    rt.charge(_k)
-                    yield from _b(rt)
-            return gen
-        if isinstance(stmt, ast.RepeatStmt):
-            count = self.compile_expr(stmt.count, scope)
-            body = self.compile_coro(stmt.body, scope)
-            cost = self._loop_cost(stmt, scope)
-
-            def gen(rt, _n=count, _b=body, _k=cost):
-                for _ in range(max(_n(rt, None).to_int(), 0)):
-                    rt.charge(_k)
-                    yield from _b(rt)
-            return gen
-        if isinstance(stmt, ast.ForeverStmt):
-            body = self.compile_coro(stmt.body, scope)
-            cost = self._loop_cost(stmt, scope)
-
-            def gen(rt, _b=body, _k=cost):
-                while True:
-                    rt.charge(_k)
-                    yield from _b(rt)
-            return gen
-        # A statement that cannot actually suspend reached the coroutine
-        # path (defensive): run its sync form.
-        closure = self.compile_sync(stmt, scope)
-
-        def gen(rt, _c=closure):
-            if _c is not None:
-                _c(rt, None)
-            return
-            yield   # pragma: no cover — marks this as a generator
-        return gen
-
-    def _branch(self, stmt: ast.Stmt | None, scope: _Scope):
-        """Compile an if/case arm to (is_coro, closure|None)."""
-        if stmt is None:
-            return (False, None)
-        if _needs_coroutine(stmt):
-            return (True, self.compile_coro(stmt, scope))
-        return (False, self.compile_sync(stmt, scope))
 
     # -- step-budget cost model -------------------------------------------
 
@@ -1505,60 +529,6 @@ class _Lower:
                 if not isinstance(arg, ast.StringLiteral):
                     self._expr_dep_slots(arg, scope, acc)
 
-    # -- processes --------------------------------------------------------
-
-    def lower_proc(self, proc: Proc):
-        self.stats["procs"] += 1
-        if proc.kind == "assign":
-            rhs_scope = _Scope(self, proc.rhs_prefix, proc.module)
-            lhs_scope = _Scope(self, proc.lhs_prefix, proc.module)
-            rhs = self.compile_expr(proc.rhs, rhs_scope)
-            writer = self.compile_writer(proc.lhs, lhs_scope)
-            deps = self._expr_dep_slots(proc.rhs, rhs_scope)
-            self.stats["assigns"] += 1
-            return _CAssign(rhs=rhs, writer=writer, deps=deps,
-                            label=proc.label,
-                            cost=1 + self._expr_cost(proc.rhs,
-                                                     rhs_scope))
-        scope = _Scope(self, proc.prefix, proc.module)
-        if proc.kind == "initial":
-            runner = self._branch(proc.body, scope)
-            self.stats["coroutines"] += 1
-            return _CCoroutine(genfunc=_proc_genfunc(runner, once=True),
-                               label=proc.label)
-        # always process
-        body = proc.body
-        if isinstance(body, ast.EventControlStmt):
-            senslist = body.senslist
-            if senslist.is_star:
-                entries = self._star_entries(body, scope)
-            else:
-                entries = self._sens_entries(senslist, scope)
-            body_cost = self._stmt_cost(body.stmt, scope) \
-                if body.stmt is not None else 1
-            if body.stmt is None or not _needs_coroutine(body.stmt):
-                inner = self.compile_sync(body.stmt, scope)
-                self.stats["reactive"] += 1
-                return _CReactive(body=inner, entries=entries,
-                                  label=proc.label, cost=1 + body_cost)
-            inner = self.compile_coro(body.stmt, scope)
-
-            def gen(rt, _e=entries, _b=inner, _k=50 + body_cost):
-                while True:
-                    yield ("wait", _e)
-                    yield from _b(rt)
-                    rt.charge(_k)
-            self.stats["coroutines"] += 1
-            return _CCoroutine(genfunc=_wrap_finish(gen),
-                               label=proc.label)
-        # always without an event control at the top: loop the body.
-        runner = self._branch(body, scope)
-        loop_cost = 50 + self._stmt_cost(body, scope)
-        self.stats["coroutines"] += 1
-        return _CCoroutine(genfunc=_proc_genfunc(runner, once=False,
-                                                 loop_cost=loop_cost),
-                           label=proc.label)
-
     def _star_entries(self, body: ast.EventControlStmt, scope: _Scope):
         """Expand @(*) into level entries over every signal the body
         reads — the static twin of ``_prepare_star_processes``."""
@@ -1576,50 +546,6 @@ class _Lower:
                     f"sensitivity on memory '{name}'")
             entries.append((self.slots[name], None))
         return _WatchSpec(entries, self.names, self.signals)
-
-
-def _run_branch(rt, branch):
-    is_coro, closure = branch
-    if closure is None:
-        return
-    if is_coro:
-        yield from closure(rt)
-    else:
-        closure(rt, None)
-
-
-def _proc_genfunc(runner, once: bool, loop_cost: int = 51):
-    """Wrap a compiled (is_coro, closure) body as a process generator."""
-    is_coro, closure = runner
-
-    def gen(rt):
-        try:
-            if once:
-                if closure is not None:
-                    if is_coro:
-                        yield from closure(rt)
-                    else:
-                        closure(rt, None)
-            else:
-                while True:
-                    if closure is not None:
-                        if is_coro:
-                            yield from closure(rt)
-                        else:
-                            closure(rt, None)
-                    rt.charge_always(loop_cost)
-        except _Finish:
-            pass
-    return gen
-
-
-def _wrap_finish(genfunc):
-    def gen(rt):
-        try:
-            yield from genfunc(rt)
-        except _Finish:
-            pass
-    return gen
 
 
 def _needs_coroutine(stmt: ast.Stmt | None) -> bool:
@@ -1725,7 +651,8 @@ class _WatchSpec:
 
 @dataclass
 class CompiledDesign:
-    """A Design lowered to closures; reusable across simulation runs."""
+    """A Design lowered by the codegen backend — the object a loaded
+    generated module builds; reusable across simulation runs."""
 
     design: Design
     top: str
@@ -1740,33 +667,6 @@ class CompiledDesign:
                   step_budget: int = 5_000_000) -> "CompiledSimulator":
         return CompiledSimulator(self, max_delta=max_delta,
                                  step_budget=step_budget)
-
-
-def compile_design(design: Design) -> CompiledDesign:
-    """Lower ``design`` once into a reusable :class:`CompiledDesign`.
-
-    Raises :class:`CompileUnsupported` when any construct cannot be
-    lowered faithfully; the caller is expected to fall back to the
-    interpreter.
-    """
-    lower = _Lower(design)
-    procs = []
-    n_assigns = 0
-    for proc in design.procs:
-        lowered = lower.lower_proc(proc)
-        if isinstance(lowered, _CAssign):
-            lowered.index = n_assigns
-            n_assigns += 1
-        procs.append(lowered)
-    init_store = [signal.value for signal in lower.signals]
-    array_slots = tuple(i for i, signal in enumerate(lower.signals)
-                        if signal.is_array)
-    backend_stats().compiles += 1
-    return CompiledDesign(design=design, top=design.top,
-                          names=lower.names, slots=lower.slots,
-                          init_store=init_store,
-                          array_slots=array_slots, procs=procs,
-                          stats=dict(lower.stats))
 
 
 # --------------------------------------------------------------------------
@@ -2069,11 +969,13 @@ def _cache_fingerprint() -> str:
     # Fold in the Python major.minor: generated-source artefacts are
     # Python modules, so an interpreter upgrade must invalidate them —
     # and the verdict layer gets the same guard (an "unsupported"
-    # verdict can flip when the lowerer runs on a newer Python).
+    # verdict can flip when the lowerer runs on a newer Python).  The
+    # emitter version joins it: its size caps are persisted verdicts.
+    from .codegen import SIM_CODEGEN_VERSION
     pyv = f"{sys.version_info[0]}.{sys.version_info[1]}"
     return hashlib.sha256(
-        f"repro.sim.compile\x1f{SIM_COMPILE_VERSION}\x1f{pyv}"
-        .encode()).hexdigest()
+        f"repro.sim.compile\x1f{SIM_COMPILE_VERSION}"
+        f"\x1f{SIM_CODEGEN_VERSION}\x1f{pyv}".encode()).hexdigest()
 
 
 class _MergeOnFlushCache(ManifestCache):
@@ -2104,13 +1006,12 @@ class _MergeOnFlushCache(ManifestCache):
 class _CompileMetaCache(_MergeOnFlushCache):
     """Persistent compile-verdict layer (ManifestCache of JSON blobs).
 
-    Closures cannot cross a process boundary or survive a restart, so
-    the only verdict worth persisting is *unsupported* (+ reason): warm
-    workers then skip doomed compile attempts without re-parsing the
-    source.  A "supported" verdict would save nothing — the design
-    must be parsed and lowered again regardless — so none is written,
-    which keeps a sweep over thousands of one-shot candidates from
-    churning entry files.
+    Only *unsupported* verdicts (+ reason) are written — an analysis
+    refusal or an emitter size cap alike: warm workers then skip
+    doomed compile attempts without re-parsing the source.  A
+    supported design's artefact is the generated source itself
+    (:class:`_GenSourceCache`), so a "supported" verdict would save
+    nothing and would churn one entry file per one-shot candidate.
     """
 
     version = SIM_COMPILE_VERSION
@@ -2132,9 +1033,9 @@ class _CompileMetaCache(_MergeOnFlushCache):
 class _GenSourceCache(_MergeOnFlushCache):
     """Persistent generated-source layer: one ``.py`` file per design.
 
-    Unlike closures, the codegen backend's artefact is a plain module
-    source string — it survives a process boundary, so warm pool
-    workers ``exec`` it instead of re-lowering.  Entries are keyed by
+    The codegen backend's artefact is a plain module source string — it
+    survives a process boundary, so warm pool workers ``exec`` it
+    instead of re-lowering.  Entries are keyed by
     :func:`repro.sim.codegen.codegen_key` (source digest + codegen
     version + Python major.minor), stored verbatim as importable
     Python text for debuggability.
@@ -2157,11 +1058,9 @@ class _GenSourceCache(_MergeOnFlushCache):
 class CompiledDesignCache:
     """Two-layer cache of compiled designs, keyed by source digest.
 
-    * **in-memory**: an LRU of artefacts — closure
-      :class:`CompiledDesign` objects under the bare digest, loaded
-      codegen artefacts under a ``g\\x1f`` prefix — the layer that
-      makes ``repro evaluate`` compile each testbench/reference pair
-      once across models, levels and samples;
+    * **in-memory**: an LRU of loaded :class:`CompiledDesign`
+      artefacts — the layer that makes ``repro evaluate`` compile each
+      testbench/reference pair once across models, levels and samples;
     * **persistent** (optional, ``root=``): a manifest-indexed store
       of *unsupported* verdicts plus a generated-source store
       (``<root>/gen``) of importable Python modules emitted by
@@ -2173,24 +1072,18 @@ class CompiledDesignCache:
     """
 
     def __init__(self, maxsize: int = 256, root: str | None = None):
-        self._lru: LRUCache[str, object] = LRUCache(maxsize)
+        self._lru: LRUCache[str, CompiledDesign] = LRUCache(maxsize)
         self._meta = (_CompileMetaCache(root, _cache_fingerprint())
                       if root else None)
         self._gen = (_GenSourceCache(os.path.join(root, "gen"),
                                      _cache_fingerprint())
                      if root else None)
-        # In-memory only: codegen-unsupported designs may still lower
-        # fine on the closure backend, so this memo never reaches the
-        # shared verdict layer.
-        self._codegen_unsupported: dict[str, str] = {}
 
     def get(self, digest: str) -> CompiledDesign | None:
+        """In-memory loaded artefact for ``digest`` (or None)."""
         return self._lru.get(digest)
 
     def put(self, digest: str, compiled: CompiledDesign) -> None:
-        # In-memory only: a persisted "supported" verdict saves no work
-        # (the artefact must be re-lowered anyway), so the meta layer
-        # records unsupported verdicts exclusively.
         self._lru.put(digest, compiled)
 
     def verdict(self, digest: str) -> dict | None:
@@ -2207,14 +1100,7 @@ class CompiledDesignCache:
                 "stats": {}})
             self._meta.flush()
 
-    # -- codegen artefacts ------------------------------------------------
-
-    def get_codegen(self, digest: str):
-        """In-memory loaded codegen artefact for ``digest`` (or None)."""
-        return self._lru.get("g\x1f" + digest)
-
-    def put_codegen(self, digest: str, compiled) -> None:
-        self._lru.put("g\x1f" + digest, compiled)
+    # -- generated sources ------------------------------------------------
 
     def gen_source(self, digest: str, key: str) -> str | None:
         """Persisted generated-module source for ``digest`` (or None).
@@ -2238,17 +1124,8 @@ class CompiledDesignCache:
             return {"hits": 0, "misses": 0}
         return {"hits": self._gen.hits, "misses": self._gen.misses}
 
-    def codegen_unsupported(self, digest: str) -> str | None:
-        return self._codegen_unsupported.get(digest)
-
-    def record_codegen_unsupported(self, digest: str,
-                                   reason: str) -> None:
-        if len(self._codegen_unsupported) < 4096:
-            self._codegen_unsupported[digest] = reason
-
     def clear(self) -> None:
         self._lru.clear()
-        self._codegen_unsupported.clear()
 
 
 #: Process-wide default cache (in-memory only until configured).

@@ -1,11 +1,11 @@
 """Shared $display formatting and edge semantics for both sim backends.
 
-The interpreter (:mod:`repro.sim.engine`) and the compiling backend
-(:mod:`repro.sim.compile`) must produce byte-identical ``$display``
+The interpreter (:mod:`repro.sim.engine`) and the codegen backend
+(:mod:`repro.sim.codegen`) must produce byte-identical ``$display``
 transcripts — the differential fuzz harness asserts it — so the format
 template parsing and per-spec value rendering live here, once.  The
 backends differ only in *how* they obtain the argument values (AST
-evaluation vs compiled closures); everything downstream of that is this
+evaluation vs generated code); everything downstream of that is this
 module.
 
 :func:`edge_fired` is likewise shared: the compiled backend checks edges

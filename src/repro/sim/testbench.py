@@ -4,25 +4,23 @@ The benchmark suites use self-checking testbenches that print
 ``PASS``/``FAIL`` lines and call ``$finish``; :func:`run_testbench` runs one
 and summarises the outcome.
 
-Three backends sit behind :func:`run_simulation`:
+Two backends sit behind :func:`run_simulation`:
 
-* ``"compiled"`` (the default) — :mod:`repro.sim.compile` lowers the
-  design once into closures, cached by source digest in the process-wide
-  :class:`~repro.sim.compile.CompiledDesignCache` so repeated runs of
-  the same testbench/reference pair skip parse, elaborate *and* lower;
-* ``"codegen"`` — :mod:`repro.sim.codegen` emits an importable Python
-  *module source* per design.  Same runtime contract and cache as
-  ``"compiled"``, plus a persistent generated-source layer: any warm
-  process (pool worker, daemon thread, fresh interpreter) ``exec``\\ s
-  the cached module instead of re-lowering — zero compiles in a warm
-  fleet;
+* ``"codegen"`` (the default) — :mod:`repro.sim.codegen` lowers the
+  design once into an importable Python *module source*, cached by
+  source digest in the process-wide
+  :class:`~repro.sim.compile.CompiledDesignCache`: repeated runs of the
+  same testbench/reference pair skip parse, elaborate *and* lower, and
+  with a persistent root any warm process (pool worker, daemon thread,
+  fresh interpreter) ``exec``\\ s the cached module instead of
+  re-lowering — zero compiles in a warm fleet;
 * ``"interp"`` — the reference tree-walking interpreter
   (:class:`~repro.sim.engine.Simulator`).
 
-A design the lowerer cannot handle falls back to the interpreter
-automatically; fallbacks are counted in
-:func:`repro.sim.compile.backend_stats` and the two backends are proven
-output-identical by ``tests/test_sim_differential.py``.
+A design the codegen backend cannot lower, or a run that exhausts its
+step budget, falls back to the interpreter automatically; fallbacks are
+counted in :func:`repro.sim.compile.backend_stats` and the two backends
+are proven output-identical by ``tests/test_sim_differential.py``.
 """
 
 from __future__ import annotations
@@ -31,15 +29,16 @@ from dataclasses import dataclass, field
 
 from ..verilog import ast, parse
 from ..verilog.errors import VerilogError
-from .compile import (CompileUnsupported, backend_stats, compile_design,
-                      design_cache, source_digest)
+from .codegen import codegen_key, generate_module, load_generated
+from .compile import (CompileUnsupported, backend_stats, design_cache,
+                      source_digest)
 from .elaborate import elaborate
 from .engine import SimulationError, SimulationTimeout, Simulator
 
 #: Backend used when callers don't pass one explicitly.
-DEFAULT_BACKEND = "compiled"
+DEFAULT_BACKEND = "codegen"
 
-BACKENDS = ("compiled", "codegen", "interp")
+BACKENDS = ("codegen", "interp")
 
 
 @dataclass
@@ -130,10 +129,29 @@ def _run_interp(source_text: str, top: str | None, max_time: int,
     return _finish_result(simulator)
 
 
-def _run_compiled(source_text: str, top: str | None, max_time: int,
-                  filename: str, trace: bool,
-                  tree: ast.SourceFile | None = None) -> SimResult | None:
-    """Run on the compiled backend; returns None to request fallback."""
+def _load_codegen(gen_source: str):
+    """Load a persisted generated module, or None when it is damaged.
+
+    The file on disk may have been truncated or edited since it was
+    written, and damaged source can fail to compile or to exec in any
+    way; the caller then regenerates it and overwrites the entry.
+    """
+    try:
+        return load_generated(gen_source)
+    except Exception:   # noqa: BLE001 - any failure is a cache miss
+        return None
+
+
+def _run_codegen(source_text: str, top: str | None, max_time: int,
+                 filename: str, trace: bool,
+                 tree: ast.SourceFile | None = None) -> SimResult | None:
+    """Run on the codegen backend; returns None to request fallback.
+
+    Artefact resolution is three-layered: in-memory LRU of loaded
+    modules → persistent generated-source files (any process with a
+    warm disk cache ``exec``\\ s instead of re-lowering — ``compiles``
+    stays 0) → generate from the elaborated design and persist.
+    """
     stats = backend_stats()
     cache = design_cache()      # bound once: a concurrent reconfigure
     digest = source_digest(source_text, top)   # cannot swap it mid-run
@@ -145,11 +163,21 @@ def _run_compiled(source_text: str, top: str | None, max_time: int,
                 stats.record_fallback(
                     verdict.get("reason") or "unsupported construct")
                 return None
-            source = tree if tree is not None else parse(source_text,
-                                                         filename)
-            top_name = top or find_top(source)
-            design = elaborate(source, top_name)
-            compiled = compile_design(design)
+            key = codegen_key(digest)
+            gen_source = cache.gen_source(digest, key)
+            if gen_source is not None:
+                compiled = _load_codegen(gen_source)
+            if compiled is not None:
+                stats.codegen_hits += 1
+            else:
+                stats.codegen_misses += 1
+                source = tree if tree is not None else \
+                    parse(source_text, filename)
+                top_name = top or find_top(source)
+                design = elaborate(source, top_name)
+                gen_source, code = generate_module(design, digest)
+                cache.put_gen_source(digest, key, gen_source)
+                compiled = load_generated(code)
             cache.put(digest, compiled)
         else:
             stats.cache_hits += 1
@@ -186,83 +214,6 @@ def _run_compiled(source_text: str, top: str | None, max_time: int,
     return _finish_result(simulator)
 
 
-def _run_codegen(source_text: str, top: str | None, max_time: int,
-                 filename: str, trace: bool,
-                 tree: ast.SourceFile | None = None) -> SimResult | None:
-    """Run on the codegen backend; returns None to request fallback.
-
-    Artefact resolution is three-layered: in-memory LRU of loaded
-    modules → persistent generated-source files (any process with a
-    warm disk cache ``exec``\\ s instead of re-lowering — ``compiles``
-    stays 0) → generate from the elaborated design and persist.
-    """
-    from .codegen import (CodegenUnsupported, codegen_key,
-                          generate_module, load_generated)
-    stats = backend_stats()
-    cache = design_cache()      # bound once per run (atomic swap safe)
-    digest = source_digest(source_text, top)
-    compiled = cache.get_codegen(digest)
-    try:
-        if compiled is None:
-            reason = cache.codegen_unsupported(digest)
-            if reason is not None:
-                stats.record_fallback(reason)
-                return None
-            verdict = cache.verdict(digest)
-            if verdict is not None and not verdict.get("supported"):
-                stats.record_fallback(
-                    verdict.get("reason") or "unsupported construct")
-                return None
-            key = codegen_key(digest)
-            gen_source = cache.gen_source(digest, key)
-            if gen_source is not None:
-                stats.codegen_hits += 1
-            else:
-                stats.codegen_misses += 1
-                source = tree if tree is not None else \
-                    parse(source_text, filename)
-                top_name = top or find_top(source)
-                design = elaborate(source, top_name)
-                gen_source = generate_module(design, digest)
-                cache.put_gen_source(digest, key, gen_source)
-            compiled = load_generated(gen_source)
-            cache.put_codegen(digest, compiled)
-        else:
-            stats.cache_hits += 1
-    except CodegenUnsupported as exc:
-        # Emit-only limit: the closure lowerer may still support this
-        # design, so the verdict never reaches the shared persistent
-        # layer — it is memoised in-process only.
-        cache.record_codegen_unsupported(digest, str(exc))
-        stats.record_fallback(str(exc))
-        return None
-    except CompileUnsupported as exc:
-        cache.record_unsupported(digest, str(exc))
-        stats.record_fallback(str(exc))
-        return None
-    except (VerilogError, SimulationError) as exc:
-        return SimResult(ok=False, error=str(exc))
-    except RecursionError:
-        return SimResult(ok=False, error="elaboration recursion overflow")
-    stats.compiled_runs += 1
-    try:
-        simulator = compiled.simulator()
-        if trace:
-            simulator.enable_tracing()
-        simulator.run(max_time=max_time)
-    except SimulationTimeout:
-        # Same rule as the closure backend: the interpreter is
-        # authoritative at the step-budget boundary.
-        stats.compiled_runs -= 1
-        stats.record_fallback("timeout")
-        return None
-    except (VerilogError, SimulationError) as exc:
-        return SimResult(ok=False, error=str(exc))
-    except RecursionError:
-        return SimResult(ok=False, error="elaboration recursion overflow")
-    return _finish_result(simulator)
-
-
 def run_simulation(source_text: str, top: str | None = None,
                    max_time: int = 2_000_000,
                    filename: str = "<sim>",
@@ -270,19 +221,12 @@ def run_simulation(source_text: str, top: str | None = None,
                    backend: str | None = None) -> SimResult:
     """Parse, elaborate and simulate; never raises on design errors.
 
-    ``backend`` selects ``"compiled"`` (default), ``"codegen"`` (both
-    fall back to the interpreter on unsupported constructs) or
-    ``"interp"``.  With ``trace=True`` (or when the testbench calls
+    ``backend`` selects ``"codegen"`` (default; falls back to the
+    interpreter on unsupported designs) or ``"interp"``.  With
+    ``trace=True`` (or when the testbench calls
     ``$dumpfile``/``$dumpvars``) the result carries the VCD text.
     """
-    chosen = _resolve_backend(backend)
-    if chosen == "compiled":
-        result = _run_compiled(source_text, top, max_time, filename,
-                               trace)
-        if result is not None:
-            return result
-        # Unsupported construct: fall through to the interpreter.
-    elif chosen == "codegen":
+    if _resolve_backend(backend) == "codegen":
         result = _run_codegen(source_text, top, max_time, filename,
                               trace)
         if result is not None:
@@ -335,17 +279,17 @@ def run_testbench_batch(design_texts: list[str], testbench_text: str,
     pays the bench parse exactly once here: the bench module list is
     parsed up front and grafted onto each candidate's parse tree, so
     per-candidate work on a cache miss is candidate-parse + elaborate
-    + lower only, and on a warm compiled/codegen cache it is zero
+    + lower only, and on a warm codegen cache it is zero
     front-end work.  Verdicts (and backend cache keys) are identical
     to N separate :func:`run_testbench` calls on the concatenated
     sources — the batched and unbatched paths share one digest space.
     """
+    chosen = _resolve_backend(backend)
     try:
         bench_tree = parse(testbench_text, "<bench>")
     except VerilogError as exc:
         error = TestbenchVerdict(ok=False, error=str(exc))
         return [error] * len(design_texts)
-    chosen = _resolve_backend(backend)
     verdicts: list[TestbenchVerdict] = []
     bench_modules = list(bench_tree.modules)
     for text in design_texts:
@@ -358,10 +302,7 @@ def run_testbench_batch(design_texts: list[str], testbench_text: str,
         merged = ast.SourceFile(
             modules=list(cand_tree.modules) + bench_modules)
         result = None
-        if chosen == "compiled":
-            result = _run_compiled(merged_text, top, max_time, "<sim>",
-                                   False, tree=merged)
-        elif chosen == "codegen":
+        if chosen == "codegen":
             result = _run_codegen(merged_text, top, max_time, "<sim>",
                                   False, tree=merged)
         else:

@@ -150,16 +150,52 @@ class TestGenSourceCache:
         upgraded = configure_design_cache(root=str(tmp_path))
         assert upgraded.verdict(digest) is None
 
-    def test_codegen_unsupported_memo_not_persisted(self, tmp_path):
-        # An emit-only refusal must not poison the shared verdict
-        # layer — the closure backend may still support the design.
+    def test_size_capped_design_persists_verdict(self, tmp_path,
+                                                 monkeypatch):
+        # An emitter size cap is a verdict on the source alone, so it
+        # is persisted like any other unsupported verdict, and the
+        # interpreter's output stands in for the design.
+        monkeypatch.setattr("repro.sim.codegen._MAX_MODULE_CHARS", 100)
         cache = configure_design_cache(root=str(tmp_path))
+        gen = run_simulation(SIMPLE, backend="codegen")
+        ref = run_simulation(SIMPLE, backend="interp")
+        assert gen.display == ref.display and gen.time == ref.time
+        stats = backend_stats()
+        assert stats.fallbacks == 1 and stats.compiled_runs == 0
         digest = source_digest(SIMPLE, None)
-        cache.record_codegen_unsupported(digest, "too large")
-        assert cache.codegen_unsupported(digest) == "too large"
-        assert cache.verdict(digest) is None
-        fresh = configure_design_cache(root=str(tmp_path))
-        assert fresh.codegen_unsupported(digest) is None
+        assert cache.verdict(digest)["reason"] == \
+            "generated module too large"
+        # A fresh worker over the same root reads the verdict and
+        # never re-emits the module.
+        configure_design_cache(root=str(tmp_path))
+        reset_backend_stats()
+        again = run_simulation(SIMPLE, backend="codegen")
+        assert again.display == ref.display
+        assert backend_stats().compiles == 0
+        assert backend_stats().fallbacks == 1
+
+    def test_corrupt_gen_source_regenerates(self, tmp_path):
+        # A damaged entry that still passes the cache's "def build"
+        # check must read as a miss — never escape run_simulation.
+        configure_design_cache(root=str(tmp_path))
+        run_simulation(SIMPLE, backend="codegen")
+        entry_dir = tmp_path / "gen" / "entries"
+        (entry,) = entry_dir.iterdir()
+        entry.write_text(entry.read_text() + "(\n")
+        configure_design_cache(root=str(tmp_path))
+        reset_backend_stats()
+        result = run_simulation(SIMPLE, backend="codegen")
+        ref = run_simulation(SIMPLE, backend="interp")
+        assert result.display == ref.display and result.time == ref.time
+        stats = backend_stats()
+        assert stats.codegen_misses == 1 and stats.codegen_hits == 0
+        assert stats.compiles == 1 and stats.fallbacks == 0
+        # The regenerated source overwrote the damaged entry.
+        configure_design_cache(root=str(tmp_path))
+        reset_backend_stats()
+        run_simulation(SIMPLE, backend="codegen")
+        assert backend_stats().codegen_hits == 1
+        assert backend_stats().compiles == 0
 
 
 _CHILD = """

@@ -1,6 +1,6 @@
-"""Unit tests for the compiled backend's plumbing.
+"""Unit tests for the compiled (codegen) backend's plumbing.
 
-The *semantics* of the compiled backend are pinned by the differential
+The *semantics* of the codegen backend are pinned by the differential
 fuzz harness and the golden-trace suite; this file covers the machinery
 around it: backend selection, the two-layer
 :class:`~repro.sim.compile.CompiledDesignCache`, fallback accounting,
@@ -12,12 +12,15 @@ import os
 import pytest
 
 from repro.bench import thakur_suite
+from repro.cli import build_parser
 from repro.eval import clear_cache, evaluate_candidate
 from repro.eval.engine import EvalTask
 from repro.llm import get_model
 from repro.sim import (CompiledDesignCache, backend_stats,
-                       compile_design, configure_design_cache, elaborate,
-                       reset_backend_stats, run_simulation, source_digest)
+                       configure_design_cache, elaborate, generate_module,
+                       load_generated, reset_backend_stats, run_simulation,
+                       run_testbench_batch, source_digest)
+from repro.serve import SpecError, validate_spec
 from repro.verilog import parse
 
 SIMPLE = """
@@ -35,6 +38,13 @@ module tb;
   initial begin a = 0; #1 a = 1; #1 $display("y=%b", y); $finish; end
 endmodule
 """
+
+
+def _codegen(text):
+    """Emit and load one design directly — no fallback can hide here."""
+    design = elaborate(parse(text), "tb")
+    _source, code = generate_module(design, source_digest(text, None))
+    return load_generated(code)
 
 
 @pytest.fixture(autouse=True)
@@ -57,10 +67,20 @@ class TestBackendSelection:
         assert backend_stats().interp_runs == 1
         assert backend_stats().compiled_runs == 0
 
-    def test_default_is_compiled(self):
+    def test_default_is_codegen(self):
         result = run_simulation(SIMPLE)
         assert result.ok
-        assert backend_stats().compiled_runs == 1
+        stats = backend_stats()
+        assert stats.compiled_runs == 1
+        assert stats.codegen_misses == 1    # emitted a module source
+
+    def test_batch_rejects_unknown_backend_before_parsing(self):
+        # Same contract as run_simulation: an unknown backend is a
+        # caller error, even when the bench would not parse either.
+        for backend in ("vcs", "compiled"):
+            with pytest.raises(ValueError, match="codegen, interp"):
+                run_testbench_batch([SIMPLE], "endmodule !",
+                                    backend=backend)
 
     def test_fallback_is_counted_and_equivalent(self):
         r_compiled = run_simulation(NEEDS_FALLBACK)
@@ -72,9 +92,36 @@ class TestBackendSelection:
         assert r_compiled.time == r_interp.time
 
 
+class TestBackendList:
+    """Every user-facing surface accepts exactly ``repro.sim.BACKENDS``."""
+
+    def test_spec_validation_lists_the_backends(self):
+        with pytest.raises(SpecError, match="available: codegen, interp"):
+            validate_spec("simulate", {"source": SIMPLE,
+                                       "backend": "compiled"})
+        with pytest.raises(SpecError, match="available: codegen, interp"):
+            validate_spec("evaluate", {"suite": "thakur",
+                                       "sim_backend": "compiled"})
+        spec = validate_spec("simulate", {"source": SIMPLE,
+                                          "backend": "codegen"})
+        assert spec["backend"] == "codegen"
+
+    def test_cli_choices_follow_the_backends(self, capsys):
+        parser = build_parser()
+        args = parser.parse_args(["simulate", "x.v",
+                                  "--sim-backend", "codegen"])
+        assert args.sim_backend == "codegen"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["simulate", "x.v",
+                               "--sim-backend", "compiled"])
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "codegen" in err and "interp" in err
+
+
 class TestTimeoutConvergence:
     """Step budgets are charged differently by the two runtimes, so a
-    compiled-side timeout falls back to the interpreter — the final
+    codegen-side timeout falls back to the interpreter — the final
     verdict (pass or timeout) is interp-authoritative either way."""
 
     # A forever loop exhausts both runtimes' budgets quickly (the flat
@@ -137,7 +184,7 @@ endmodule
                            step_budget=50_000)
         with pytest.raises(SimulationTimeout):
             interp.run(max_time=1000)
-        compiled = compile_design(elaborate(parse(text), "tb"))
+        compiled = _codegen(text)
         with pytest.raises(SimulationTimeout):
             compiled.simulator(step_budget=50_000).run(max_time=1000)
 
@@ -166,7 +213,7 @@ class TestCompiledDesignCache:
 
     def test_lru_bound(self):
         cache = CompiledDesignCache(maxsize=2)
-        design = compile_design(elaborate(parse(SIMPLE), "tb"))
+        design = _codegen(SIMPLE)
         cache.put("a", design)
         cache.put("b", design)
         cache.put("c", design)
@@ -193,9 +240,10 @@ class TestCompiledDesignCache:
         stats = backend_stats()
         assert stats.fallbacks == 1
         assert stats.compiles == 0
-        # The supported design lowers as usual.
+        # The supported design loads its persisted module source.
         run_simulation(SIMPLE)
-        assert backend_stats().compiles == 1
+        assert backend_stats().codegen_hits == 1
+        assert backend_stats().compiles == 0
 
     def test_verdict_flush_merges_concurrent_writers(self, tmp_path):
         # Two cache instances sharing a root (stand-ins for two pool
@@ -226,11 +274,11 @@ class TestCompiledDesignCache:
 
 class TestCompiledDesignReuse:
     def test_runs_are_isolated(self):
-        compiled = compile_design(elaborate(parse("""
+        compiled = _codegen("""
 module tb;
   reg [7:0] n;
   initial begin n = 8'd0; #1 n = n + 8'd5; $finish; end
-endmodule"""), "tb"))
+endmodule""")
         first = compiled.simulator()
         first.run(max_time=100)
         second = compiled.simulator()
@@ -245,7 +293,7 @@ class TestEvalThreading:
         problem = list(thakur_suite())[0]
         clear_cache()
         compiled = evaluate_candidate(problem.reference, problem,
-                                      sim_backend="compiled")
+                                      sim_backend="codegen")
         clear_cache()
         interp = evaluate_candidate(problem.reference, problem,
                                     sim_backend="interp")
@@ -256,7 +304,7 @@ class TestEvalThreading:
         problem = list(thakur_suite())[0]
         model = get_model("ours-13b")
         a = EvalTask(kind="generation", model=model, payload=problem,
-                     level="middle", sim_backend="compiled")
+                     level="middle", sim_backend="codegen")
         b = EvalTask(kind="generation", model=model, payload=problem,
                      level="middle", sim_backend="interp")
         # Proven output-identical backends share cached cells.

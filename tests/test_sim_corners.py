@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim import (SimulationError, SimulationTimeout, Simulator,
-                       compile_design, elaborate, run_simulation)
+                       elaborate, generate_module, load_generated,
+                       run_simulation)
 from repro.verilog import parse
 
 
@@ -255,7 +256,8 @@ endmodule"""
 
     def test_compiled_backend_reports_the_same_shape(self):
         design = elaborate(parse(self.OSCILLATOR), "tb")
-        compiled = compile_design(design)
+        _source, code = generate_module(design, "oscillator")
+        compiled = load_generated(code)
         with pytest.raises(SimulationTimeout) as excinfo:
             sim = compiled.simulator()
             sim.run(max_time=100000)

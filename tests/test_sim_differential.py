@@ -1,4 +1,4 @@
-"""Differential fuzzing: the compiled backend vs the interpreter.
+"""Differential fuzzing: the codegen backend vs the interpreter.
 
 A hypothesis generator emits random — but race-free — RTL modules from
 the simulator's supported subset: parameterized widths, mixes of
@@ -8,7 +8,7 @@ literals and a testbench process with delays and ``$display``.
 
 For every generated module both backends must produce **identical**
 final signal states, ``$display`` transcripts, simulation times and
-finish flags.  The compiled backend must genuinely compile (a fallback
+finish flags.  The codegen backend must genuinely compile (a fallback
 would make the comparison vacuous), which also pins the lowerer's
 coverage of the generated subset.
 
@@ -22,8 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (Simulator, Value, compile_design, elaborate,
-                       generate_module, load_generated)
+from repro.sim import (Simulator, Value, elaborate, generate_module,
+                       load_generated)
 from repro.verilog import parse
 
 # ---------------------------------------------------------------------------
@@ -282,18 +282,11 @@ def run_interp(text: str):
     return sim
 
 
-def run_compiled(text: str):
-    design = elaborate(parse(text), "tb")
-    compiled = compile_design(design)      # CompileUnsupported = failure:
-    sim = compiled.simulator()             # a fallback would be vacuous
-    sim.run(max_time=100_000)
-    return sim
-
-
 def run_codegen(text: str):
+    # CompileUnsupported fails the test: a fallback would be vacuous.
     design = elaborate(parse(text), "tb")
-    source = generate_module(design, "fuzz")   # CodegenUnsupported =
-    sim = load_generated(source).simulator()   # failure, like compiled
+    _source, code = generate_module(design, "fuzz")
+    sim = load_generated(code).simulator()
     sim.run(max_time=100_000)
     return sim
 
@@ -321,9 +314,7 @@ def _assert_matches_interp(interp, comp, text: str) -> None:
 
 
 def assert_equivalent(text: str) -> None:
-    interp = run_interp(text)
-    _assert_matches_interp(interp, run_compiled(text), text)
-    _assert_matches_interp(interp, run_codegen(text), text)
+    _assert_matches_interp(run_interp(text), run_codegen(text), text)
 
 
 _COMMON = dict(deadline=None, derandomize=True,

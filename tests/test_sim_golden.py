@@ -2,13 +2,13 @@
 
 Every design under ``tests/golden/`` has an expected ``$display``
 transcript (``.out``) and — for the smaller designs — an expected VCD
-dump (``.vcd``).  Both the interpreter and the compiled backend must
+dump (``.vcd``).  Both the interpreter and the codegen backend must
 reproduce them byte-for-byte, so a scheduler change that silently
 reorders events (or a lowering bug that shifts a delta cycle) fails
 here even if the two backends still agree with each other.
 
 The golden designs double as the workload for
-``benchmarks/bench_sim.py`` (cycles/sec interp vs compiled).
+``benchmarks/bench_sim.py`` (cycles/sec interp vs codegen).
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import os
 
 import pytest
 
-from repro.sim import (CompiledSimulator, Simulator, compile_design,
+from repro.sim import (Simulator, backend_stats, configure_design_cache,
                        elaborate, find_top, generate_module,
-                       load_generated, run_simulation, source_digest)
+                       load_generated, reset_backend_stats,
+                       run_simulation, source_digest)
 from repro.verilog import parse
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -70,22 +71,26 @@ def test_golden_interp(name):
 
 @pytest.mark.parametrize("name", DESIGNS)
 def test_golden_compiled(name):
-    # Drive the compiled pipeline directly so a silent fallback to the
-    # interpreter cannot masquerade as compiled-backend coverage.
-    text = golden_source(name)
-    source = parse(text)
-    design = elaborate(source, find_top(source))
-    compiled = compile_design(design)
-    simulator = CompiledSimulator(compiled)
-    simulator.enable_tracing()
-    simulator.run(max_time=2_000_000)
-    out = "\n".join(simulator.display_lines) + \
-        f"\n-- finished={simulator.finished} time={simulator.time}\n"
-    assert out == expected_out(name)
+    # The default, compiled path end to end: run_simulation with
+    # tracing over a fresh cache.  The counters prove the design ran
+    # compiled, so a silent fallback to the interpreter cannot
+    # masquerade as compiled-backend coverage.
+    configure_design_cache()
+    reset_backend_stats()
+    try:
+        result = run_simulation(golden_source(name), trace=True)
+        stats = backend_stats().copy()
+    finally:
+        configure_design_cache()
+        reset_backend_stats()
+    assert stats.compiled_runs == 1 and stats.fallbacks == 0, \
+        stats.summary()
+    assert result.ok, result.error
+    assert render_out(result) == expected_out(name)
     vcd_file = golden_path(name, ".vcd")
     if os.path.exists(vcd_file):
         with open(vcd_file, encoding="utf-8") as fh:
-            assert simulator.tracer.to_vcd() == fh.read()
+            assert result.vcd == fh.read()
 
 
 @pytest.mark.parametrize("name", DESIGNS)
@@ -96,7 +101,8 @@ def test_golden_codegen(name):
     text = golden_source(name)
     source = parse(text)
     design = elaborate(source, find_top(source))
-    module_source = generate_module(design, source_digest(text, None))
+    module_source, _code = generate_module(design,
+                                           source_digest(text, None))
     simulator = load_generated(module_source).simulator()
     simulator.enable_tracing()
     simulator.run(max_time=2_000_000)
@@ -117,7 +123,9 @@ def test_golden_backends_agree_on_final_state(name):
     top = find_top(source)
     interp = Simulator(elaborate(parse(text), top))
     interp.run(max_time=2_000_000)
-    compiled = compile_design(elaborate(parse(text), top)).simulator()
+    _source, code = generate_module(elaborate(parse(text), top),
+                                    source_digest(text, None))
+    compiled = load_generated(code).simulator()
     compiled.run(max_time=2_000_000)
     for signal_name, signal in interp.design.signals.items():
         if signal.is_array:
