@@ -1,25 +1,81 @@
-"""Hand-written lexer for the Verilog-2001 subset.
+"""Master-regex scanner for the Verilog-2001 subset.
 
 Design notes
 ------------
-* Comments and compiler directives (`` `timescale``, `` `define`` …) are
-  skipped; the augmentation pipeline operates on the code itself.
+* One compiled regular expression does the scanning.  Each match is a
+  run of trivia (spaces, tabs, ``\\r``, a ``//`` comment or a compiler
+  directive such as `` `timescale`` running to end of line) followed by
+  exactly one named alternative: a token, a newline, a block comment,
+  the end of text, or a lexical error.  ``match.lastindex`` says which,
+  so the Python loop runs once per token, not once per character.
+* Lines are counted by the alternatives that can hold a newline: the
+  newline itself, block comments and strings.  A token's column is its
+  offset from the start of its line, so nothing is counted per
+  character.
+* Comments and compiler directives are skipped; the augmentation
+  pipeline operates on the code itself.
 * Based numbers (``8'hFF``, ``'b10x1``) are lexed as a single NUMBER token
   containing the exact source text.  Numeric *interpretation* lives in
   :mod:`repro.sim.values`, keeping the lexer purely lexical.
 * Positions are 1-based (line, column) to match yosys error messages.
+* :func:`tokenize` keeps the token streams of the :data:`MEMO_SIZE`
+  texts it was most recently asked for.  The frontend lexes the same text
+  several times in a row (lint, parse, mutation spans and simulation
+  of one candidate), so a small memo removes most scans.  It stays
+  small on purpose: reuse is local to one piece of work, and every
+  cached stream holds its ``Token`` objects alive, so a large memo buys
+  little and costs resident memory.  Only successful scans are cached,
+  and every call returns a fresh list.
 """
 
 from __future__ import annotations
+
+import functools
+import re
 
 from .errors import VerilogLexError
 from .tokens import (KEYWORDS, MULTI_CHAR_OPS, SINGLE_CHAR_OPS, Token,
                      TokenKind)
 
-_ID_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_ID_CHARS = _ID_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
-_BASE_CHARS = frozenset("0123456789abcdefABCDEFxXzZ?_")
+#: Token streams :func:`tokenize` keeps, keyed by source text.
+MEMO_SIZE = 16
+
+_BASE_DIGITS = "[0-9a-fA-FxXzZ?_]"
+_BASE = r"'[sS]?[bodhBODH][ \t]*"
+_OPS = "|".join([re.escape(op) for op in MULTI_CHAR_OPS]
+                + ["[" + re.escape(SINGLE_CHAR_OPS.replace("/", "")) + "]",
+                   r"/(?!\*)"])
+
+# The alternatives have distinct first characters, except where an
+# error alternative follows the token it stands in for ("'" with no
+# base digits, "'" with no base, a '"' or "/*" never closed).
+_SCANNER = re.compile(
+    r"[ \t\r]*(?://[^\n]*|`[^\n]*)?"
+    r"(?:(?P<id>[A-Za-z_][A-Za-z0-9_$]*)"
+    rf"|(?P<op>{_OPS})"
+    r"|(?P<newline>\n)"
+    r"|(?P<number>[0-9][0-9_]*"
+    rf"(?:\.[0-9][0-9_]*|[ \t]*{_BASE}{_BASE_DIGITS}+)?)"
+    rf"|(?P<based>{_BASE}{_BASE_DIGITS}+)"
+    rf"|(?P<no_digits>{_BASE})"
+    r'|(?P<string>"[^"\\]*(?:\\[\s\S][^"\\]*)*")'
+    r"|(?P<system_id>\$[A-Za-z0-9_$]*)"
+    r"|(?P<escaped_id>\\[^ \t\r\n]*)"
+    r"|(?P<comment>/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<error>[\s\S]))")
+
+# Group numbers of the alternatives: ``match.lastindex`` is one of them.
+(_ID, _OP, _NEWLINE, _NUMBER, _BASED, _NO_DIGITS, _STRING, _SYSTEM_ID,
+ _ESCAPED_ID, _COMMENT, _EOF) = (
+    _SCANNER.groupindex[name]
+    for name in ("id", "op", "newline", "number", "based", "no_digits",
+                 "string", "system_id", "escaped_id", "comment", "eof"))
+
+#: Messages for a character that starts no complete token.
+_ERRORS = {"/": "unterminated block comment",
+           '"': "unterminated string",
+           "'": "invalid based literal"}
 
 
 class Lexer:
@@ -32,189 +88,78 @@ class Lexer:
     def __init__(self, text: str, filename: str = "<input>"):
         self.text = text
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    # -- low-level cursor helpers -------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.text[idx] if idx < len(self.text) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.text):
-                return
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    # -- skipping ------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace, comments and preprocessor directives."""
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line = self.line
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise VerilogLexError("unterminated block comment",
-                                          start_line, self.col, self.filename)
-            elif ch == "`":
-                # Compiler directive: consume to end of line.
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    # -- token producers -------------------------------------------------
-
-    def _lex_identifier(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek() in _ID_CHARS:
-            self._advance()
-        word = self.text[start:self.pos]
-        kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.ID
-        return Token(kind, word, line, col)
-
-    def _lex_escaped_identifier(self) -> Token:
-        line, col = self.line, self.col
-        self._advance()  # backslash
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() not in " \t\r\n":
-            self._advance()
-        return Token(TokenKind.ID, self.text[start:self.pos], line, col)
-
-    def _lex_system_id(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance()  # $
-        while self._peek() in _ID_CHARS:
-            self._advance()
-        return Token(TokenKind.SYSTEM_ID, self.text[start:self.pos], line, col)
-
-    def _lex_string(self) -> Token:
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self.pos >= len(self.text):
-            raise VerilogLexError("unterminated string", line, col,
-                                  self.filename)
-        value = self.text[start:self.pos]
-        self._advance()  # closing quote
-        return Token(TokenKind.STRING, value, line, col)
-
-    def _lex_number(self) -> Token:
-        """Lex decimal, based, or real literals as one token."""
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek() in _DIGITS or self._peek() == "_":
-            self._advance()
-        # Real literal: 3.14 (no base follows).
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            self._advance()
-            while self._peek() in _DIGITS or self._peek() == "_":
-                self._advance()
-            return Token(TokenKind.NUMBER, self.text[start:self.pos],
-                         line, col)
-        self._maybe_consume_base()
-        return Token(TokenKind.NUMBER, self.text[start:self.pos], line, col)
-
-    def _lex_based_number(self) -> Token:
-        """Number starting with ' (width-less based literal, e.g. 'b1010)."""
-        line, col = self.line, self.col
-        start = self.pos
-        if not self._consume_base():
-            raise VerilogLexError("invalid based literal", line, col,
-                                  self.filename)
-        return Token(TokenKind.NUMBER, self.text[start:self.pos], line, col)
-
-    def _maybe_consume_base(self) -> None:
-        # Allow whitespace between the size and the base, as Verilog does:
-        # "8 'hFF".  We only look ahead past spaces/tabs, not newlines.
-        save = (self.pos, self.line, self.col)
-        while self._peek() and self._peek() in " \t":
-            self._advance()
-        if not self._consume_base():
-            self.pos, self.line, self.col = save
-
-    def _consume_base(self) -> bool:
-        if self._peek() != "'":
-            return False
-        signed_offset = 2 if self._peek(1) and self._peek(1) in "sS" else 1
-        base_char = self._peek(signed_offset).lower()
-        if not base_char or base_char not in "bodh":
-            return False
-        self._advance(signed_offset + 1)
-        while self._peek() and self._peek() in " \t":
-            self._advance()
-        if self._peek() not in _BASE_CHARS:
-            raise VerilogLexError("based literal has no digits",
-                                  self.line, self.col, self.filename)
-        while self._peek() in _BASE_CHARS:
-            self._advance()
-        return True
-
-    def _lex_operator(self) -> Token:
-        line, col = self.line, self.col
-        for op in MULTI_CHAR_OPS:
-            if self.text.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokenKind.OP, op, line, col)
-        ch = self._peek()
-        if ch in SINGLE_CHAR_OPS:
-            self._advance()
-            return Token(TokenKind.OP, ch, line, col)
-        raise VerilogLexError(f"unexpected character '{ch}'", line, col,
-                              self.filename)
-
-    # -- public API ------------------------------------------------------
 
     def tokenize(self) -> list[Token]:
         """Return the full token stream, terminated by an EOF token."""
+        text = self.text
         tokens: list[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.text):
-                tokens.append(Token(TokenKind.EOF, "", self.line, self.col))
+        append = tokens.append
+        ident, keyword, op = TokenKind.ID, TokenKind.KEYWORD, TokenKind.OP
+        line, line_start = 1, 0
+        # Every position matches (``error`` takes any character, ``eof``
+        # the end of text), so the loop ends in one of the last branches.
+        for match in _SCANNER.finditer(text):
+            kind = match.lastindex
+            start, end = match.span(kind)
+            col = start - line_start + 1
+            if kind == _ID:
+                value = text[start:end]
+                append(Token(keyword if value in KEYWORDS else ident,
+                             value, line, col))
+            elif kind == _OP:
+                append(Token(op, text[start:end], line, col))
+            elif kind == _NEWLINE:
+                line += 1
+                line_start = end
+            elif kind == _NUMBER or kind == _BASED:
+                append(Token(TokenKind.NUMBER, text[start:end], line, col))
+            elif kind == _STRING:
+                value = text[start + 1:end - 1]
+                append(Token(TokenKind.STRING, value, line, col))
+                line, line_start = _skip_lines(value, start + 1, line,
+                                               line_start)
+            elif kind == _SYSTEM_ID:
+                append(Token(TokenKind.SYSTEM_ID, text[start:end], line,
+                             col))
+            elif kind == _ESCAPED_ID:
+                append(Token(ident, text[start + 1:end], line, col))
+            elif kind == _COMMENT:
+                line, line_start = _skip_lines(text[start:end], start, line,
+                                               line_start)
+            elif kind == _EOF:
+                append(Token(TokenKind.EOF, "", line, col))
                 return tokens
-            ch = self._peek()
-            if ch in _ID_START:
-                tokens.append(self._lex_identifier())
-            elif ch == "\\":
-                tokens.append(self._lex_escaped_identifier())
-            elif ch == "$":
-                tokens.append(self._lex_system_id())
-            elif ch == '"':
-                tokens.append(self._lex_string())
-            elif ch in _DIGITS:
-                tokens.append(self._lex_number())
-            elif ch == "'":
-                tokens.append(self._lex_based_number())
+            elif kind == _NO_DIGITS:
+                raise VerilogLexError("based literal has no digits", line,
+                                      end - line_start + 1, self.filename)
             else:
-                tokens.append(self._lex_operator())
+                char = text[start]
+                raise VerilogLexError(
+                    _ERRORS.get(char, f"unexpected character '{char}'"),
+                    line, col, self.filename)
+
+
+def _skip_lines(chunk: str, offset: int, line: int,
+                line_start: int) -> tuple[int, int]:
+    """(line, line_start) after ``chunk``, which starts at ``offset``."""
+    last = chunk.rfind("\n")
+    if last < 0:
+        return line, line_start
+    return line + chunk.count("\n"), offset + last + 1
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _memo_scan(text: str) -> tuple[Token, ...]:
+    return tuple(Lexer(text).tokenize())
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    """Convenience wrapper: tokenize ``text`` in one call."""
-    return Lexer(text, filename).tokenize()
+    """Tokenize ``text`` in one call, reusing a recent scan of it.
+
+    A lexical error is raised with ``filename``, on every call.
+    """
+    try:
+        return list(_memo_scan(text))
+    except VerilogLexError as err:
+        raise VerilogLexError(err.message, err.line, err.col,
+                              filename) from None

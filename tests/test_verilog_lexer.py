@@ -93,6 +93,12 @@ class TestTrivia:
         with pytest.raises(VerilogLexError):
             tokenize("/* never ends")
 
+    def test_unterminated_block_comment_reports_its_start(self):
+        # The column is where the comment opens, not the end of text.
+        with pytest.raises(VerilogLexError) as info:
+            tokenize("module m;\n  wire x; /* never\nends")
+        assert (info.value.line, info.value.col) == (2, 11)
+
     def test_directive_skipped(self):
         assert values("`timescale 1ns/1ps\nmodule") == ["module"]
 
