@@ -1,12 +1,11 @@
-"""Thin stdlib HTTP client for the job daemon and the gateway.
+"""Thin stdlib HTTP client for the job service's gateway.
 
 Used by ``repro submit/status/result/cancel`` and by the test
 harnesses; every method mirrors one endpoint of
-:mod:`repro.serve.daemon` (the asyncio gateway serves the same
-surface).  Construct with ``tenant="name"`` to stamp every request
-with the gateway's ``X-Repro-Tenant`` header; a 429 from admission
-control surfaces as :class:`ServeError` with ``retry_after`` set from
-the ``Retry-After`` header.
+:mod:`repro.serve.gateway`.  Construct with ``tenant="name"`` to stamp
+every request with the gateway's ``X-Repro-Tenant`` header; a 429 from
+admission control surfaces as :class:`ServeError` with ``retry_after``
+set from the ``Retry-After`` header.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """Talk to one daemon/gateway at ``url`` (default local port)."""
+    """Talk to one gateway at ``url`` (default local port)."""
 
     def __init__(self, url: str = DEFAULT_URL, timeout: float = 30.0,
                  tenant: str | None = None):
@@ -112,7 +111,7 @@ class ServeClient:
         return self._request("/api/health")
 
     def gateway(self) -> dict:
-        """Gateway admission stats (gateway front end only)."""
+        """Gateway admission stats."""
         return self._request("/api/gateway")
 
     # -- helpers ----------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Asyncio multi-tenant serving gateway in front of the job daemon.
+"""Asyncio multi-tenant serving gateway: the job daemon's HTTP API.
 
 One event loop accepts thousands of concurrent HTTP/1.1 connections
-and serves the daemon's whole JSON API plus the multi-user features
-the threaded server lacks:
+and serves the daemon's whole JSON API with these multi-user features:
 
 * **Tenants** — requests carry an ``X-Repro-Tenant`` header resolved
   against configured :class:`TenantPolicy` entries (token-bucket rate
@@ -28,12 +27,13 @@ The execution backend is untouched: the same worker threads,
 :class:`~repro.serve.scheduler.Scheduler` and journal-first
 :class:`~repro.serve.store.JobStore` run behind the loop, bridged with
 ``loop.run_in_executor`` for lock-taking reads and daemon transition
-listeners for push events.  Job results are byte-identical to the
-threaded front end — the gateway adds no execution semantics.
+listeners for push events.  Job results are byte-identical to direct
+execution — the gateway adds no execution semantics.
 
 Routes::
 
     POST /api/submit            admission-controlled submit (tenant aware)
+    POST /api/flow              admission-controlled DAG spec submit
     GET  /api/jobs[?ids=a,b]    lock-free job table (or subset) snapshot
     GET  /api/job/<id>          one job
     GET  /api/result/<id>       result blob (409 until done)
@@ -67,6 +67,12 @@ _REASONS = {200: "OK", 400: "Bad Request", 403: "Forbidden",
 #: submit future resolved (worker threads race the committer).  Also
 #: absorbs terminal events for jobs submitted outside the gateway.
 _EARLY_TERMINAL_CAP = 8192
+#: Request bodies above this size are a 400.
+_MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Max submits group-committed behind one journal fsync.
+_SUBMIT_GROUP_LIMIT = 128
+#: Idle SSE streams emit a comment at this period (seconds).
+_SSE_HEARTBEAT = 15.0
 
 
 class _BadRequest(Exception):
@@ -93,7 +99,7 @@ class TenantPolicy:
 
 @dataclass
 class GatewayConfig:
-    """Gateway admission and transport knobs."""
+    """Gateway admission policy."""
 
     #: Global queued+running ceiling before submits get 429s.
     max_queue_depth: int = 512
@@ -105,11 +111,6 @@ class GatewayConfig:
     allow_unknown_tenants: bool = True
     #: ``Retry-After`` seconds suggested on queue-depth/quota 429s.
     retry_after: float = 0.25
-    max_body_bytes: int = 8 * 1024 * 1024
-    #: Max submits group-committed behind one journal fsync.
-    submit_group_limit: int = 128
-    #: Idle SSE streams emit a comment at this period (seconds).
-    sse_heartbeat: float = 15.0
 
 
 class _TenantState:
@@ -253,6 +254,35 @@ class Gateway:
         tenant.active -= 1
         self._active_jobs -= 1
 
+    def _admit(self, tenant: _TenantState, count: int):
+        """Charge one bucket token and ``count`` active slots.
+
+        Returns the 429 response when the tenant's rate bucket, its
+        active-job quota or the global queue depth would be exceeded,
+        else reserves the slots and returns ``None``.
+        """
+        retry = tenant.admit(time.monotonic())
+        if retry > 0.0:
+            tenant.throttled += 1
+            return 429, {"error": "tenant rate limit exceeded",
+                         "retry_after": round(retry, 3)}, (
+                ("Retry-After", f"{retry:.3f}"),)
+        policy = tenant.policy
+        retry_after = self.config.retry_after
+        if (policy.max_active is not None
+                and tenant.active + count > policy.max_active):
+            tenant.rejected += 1
+            error = "tenant active-job quota exceeded"
+        elif self._active_jobs + count > self.config.max_queue_depth:
+            self._rejected_depth += 1
+            error = "queue depth exceeded"
+        else:
+            tenant.active += count
+            self._active_jobs += count
+            return None
+        return 429, {"error": error, "retry_after": retry_after}, (
+            ("Retry-After", f"{retry_after:.3f}"),)
+
     async def _handle_submit(self, headers: dict, body: dict):
         tenant = self._tenant_for(headers)
         if tenant is None:
@@ -266,30 +296,13 @@ class Gateway:
             priority = int(body.get("priority", 0))
         except (ValueError, TypeError):
             return 400, {"error": "'priority' must be an integer"}, ()
-        retry = tenant.admit(time.monotonic())
-        if retry > 0.0:
-            tenant.throttled += 1
-            return 429, {"error": "tenant rate limit exceeded",
-                         "retry_after": round(retry, 3)}, (
-                ("Retry-After", f"{retry:.3f}"),)
-        policy = tenant.policy
-        if (policy.max_active is not None
-                and tenant.active >= policy.max_active):
-            tenant.rejected += 1
-            return 429, {"error": "tenant active-job quota exceeded",
-                         "retry_after": self.config.retry_after}, (
-                ("Retry-After", f"{self.config.retry_after:.3f}"),)
-        if self._active_jobs >= self.config.max_queue_depth:
-            self._rejected_depth += 1
-            return 429, {"error": "queue depth exceeded",
-                         "retry_after": self.config.retry_after}, (
-                ("Retry-After", f"{self.config.retry_after:.3f}"),)
-        tenant.active += 1
-        self._active_jobs += 1
+        rejected = self._admit(tenant, 1)
+        if rejected is not None:
+            return rejected
         future = self._loop.create_future()
         self._submit_queue.put(_SubmitItem(
             tenant, body.get("kind", ""), body.get("spec", {}),
-            priority + policy.priority_boost, after, future))
+            priority + tenant.policy.priority_boost, after, future))
         try:
             job = await future
         except SpecError as exc:
@@ -320,30 +333,13 @@ class Gateway:
         except SpecError as exc:
             return 400, {"error": str(exc)}, ()
         count = len(nodes)
-        retry = tenant.admit(time.monotonic())
-        if retry > 0.0:
-            tenant.throttled += 1
-            return 429, {"error": "tenant rate limit exceeded",
-                         "retry_after": round(retry, 3)}, (
-                ("Retry-After", f"{retry:.3f}"),)
-        policy = tenant.policy
-        if (policy.max_active is not None
-                and tenant.active + count > policy.max_active):
-            tenant.rejected += 1
-            return 429, {"error": "tenant active-job quota exceeded",
-                         "retry_after": self.config.retry_after}, (
-                ("Retry-After", f"{self.config.retry_after:.3f}"),)
-        if self._active_jobs + count > self.config.max_queue_depth:
-            self._rejected_depth += 1
-            return 429, {"error": "queue depth exceeded",
-                         "retry_after": self.config.retry_after}, (
-                ("Retry-After", f"{self.config.retry_after:.3f}"),)
-        tenant.active += count
-        self._active_jobs += count
+        rejected = self._admit(tenant, count)
+        if rejected is not None:
+            return rejected
         try:
             payload = await self._loop.run_in_executor(
                 None, lambda: self.daemon.submit_flow(
-                    body, boost=policy.priority_boost))
+                    body, boost=tenant.policy.priority_boost))
         except SpecError as exc:
             for _ in range(count):
                 self._release(tenant)
@@ -375,7 +371,7 @@ class Gateway:
             if item is _STOP:
                 return
             items = [item]
-            while len(items) < self.config.submit_group_limit:
+            while len(items) < _SUBMIT_GROUP_LIMIT:
                 try:
                     extra = self._submit_queue.get_nowait()
                 except queue.Empty:
@@ -533,7 +529,7 @@ class Gateway:
             raise _BadRequest("invalid Content-Length") from None
         if length < 0:
             raise _BadRequest("invalid Content-Length")
-        if length > self.config.max_body_bytes:
+        if length > _MAX_BODY_BYTES:
             raise _BadRequest("request body too large")
         data = b""
         while len(data) < length:
@@ -710,7 +706,7 @@ class Gateway:
             while True:
                 try:
                     blob = await asyncio.wait_for(
-                        watcher.get(), self.config.sse_heartbeat)
+                        watcher.get(), _SSE_HEARTBEAT)
                 except asyncio.TimeoutError:
                     writer.write(b": keepalive\n\n")
                     await writer.drain()
